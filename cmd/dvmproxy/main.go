@@ -89,60 +89,102 @@ func (d dirOrigin) Fetch(_ context.Context, name string) ([]byte, error) {
 	return b, err
 }
 
-func main() {
-	addr := flag.String("addr", ":8642", "HTTP listen address")
-	originDir := flag.String("origin", "", "directory serving original .class files (required)")
-	policyPath := flag.String("policy", "", "security policy XML (omit to disable the security filter)")
-	noCache := flag.Bool("no-cache", false, "disable the proxy result cache")
-	diskCache := flag.String("disk-cache", "", "directory backing the cache on disk (survives restarts)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "cache entry freshness window; expired entries are revalidated, and served stale when the origin is down (0 = never expire)")
-	noCompile := flag.Bool("no-compile", false, "disable the AOT compilation filter")
-	noAuditFilter := flag.Bool("no-audit", false, "disable the audit rewriting filter")
-	auditLog := flag.String("audit-log", "", "append the request audit trail to this file")
-	statsInterval := flag.Duration("stats-interval", time.Minute, "periodic stats summary interval (0 disables)")
-	fetchTimeout := flag.Duration("fetch-timeout", 10*time.Second, "per-attempt origin fetch deadline (0 = none)")
-	retries := flag.Int("retries", 2, "origin fetch retries after the first failed attempt")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive origin failures that trip the circuit breaker (-1 disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long a tripped breaker stays open before probing")
-	self := flag.String("self", "", "this node's peer URL in a sharded proxy cluster (e.g. http://10.0.0.1:8642); empty = standalone")
-	peers := flag.String("peers", "", "comma-separated seed peer URLs; gossip discovers the rest of the fleet from any live subset")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per member on the consistent-hash ring (0 = default)")
-	replication := flag.Int("replication", 0, "ring owners per key: primary plus warm replicas (0 = default 2, 1 = no replication)")
-	gossipInterval := flag.Duration("gossip-interval", 500*time.Millisecond, "membership gossip period")
-	suspectTimeout := flag.Duration("suspect-timeout", 3*time.Second, "how long an unrefuted suspect survives before being declared dead")
-	drain := flag.Bool("drain", true, "on SIGINT/SIGTERM, announce departure and hand the cache off to the new owners before shutting down")
-	hotThreshold := flag.Int("hot-threshold", 0, "peer fills of one key before it is replicated into the local cache (0 = default 8, -1 = never)")
-	attestKey := flag.String("attest-key", "", "shared service key enabling quorum attestation: artifacts are sealed under it and re-verified on every peer hop (all members must agree; empty = attestation off)")
-	attestQuorum := flag.Int("attest-quorum", 2, "variants per attested key, owner included (1 = seal locally without cross-checking)")
-	attestPolicy := flag.String("attest-policy", "always", "which keys run at the full quorum: always, sampled (1-in-attest-sample-rate by key hash), or hot (keys past -hot-threshold)")
-	attestSampleRate := flag.Int("attest-sample-rate", 0, "1-in-N rate for -attest-policy sampled (0 = default 16)")
-	quarantineAfter := flag.Int("quarantine-after", 0, "attestation divergences before a peer is quarantined: excluded from fills and variant votes (0 = default 3)")
-	aotBaseArch := flag.String("aot-base-arch", "", "enable the fleet-shared AOT code cache: misses for the compiled arch derive from this base architecture's cached artifact (e.g. jvm; empty = off)")
-	prefetchK := flag.Int("prefetch-k", 0, "predictive prefetch: top-k first-use successors piggybacked onto each peer fill (0 = default 3, -1 disables the predictor)")
-	prefetchBudget := flag.Int("prefetch-budget", 0, "predictive prefetch: byte budget per piggyback batch (0 = default 256KiB)")
-	prefetchConfidence := flag.Float64("prefetch-confidence", 0, "predictive prefetch: minimum successor confidence (edge weight / out-weight) to piggyback (0 = default 0.25)")
-	peerTimeout := flag.Duration("peer-timeout", 3*time.Second, "deadline for one peer class fetch")
-	readHeaderTimeout := flag.Duration("read-header-timeout", 5*time.Second, "bound on reading a request's headers (slowloris guard)")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle connection timeout")
-	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long in-flight requests get to finish on shutdown")
-	pipelineWorkers := flag.Int("pipeline-workers", 0, "static-service per-method fan-out (0 = GOMAXPROCS, 1 = sequential)")
-	maxQueue := flag.Int("max-queue", 0, "admission control: max miss requests queued for a service slot (0 disables admission)")
-	maxConcurrent := flag.Int("max-concurrent", 0, "admission control: max concurrent origin-fetch+pipeline flights (0 = 8 x GOMAXPROCS)")
-	queueDeadline := flag.Duration("queue-deadline", 0, "admission control: max wait for a service slot before shedding (0 = 1s)")
-	shedPolicy := flag.String("shed-policy", proxy.ShedPriority, "what to shed under overload: priority (stale-serve first, peers before clients), fifo (tail-drop only), none")
-	flag.Parse()
-	if *originDir == "" {
-		fmt.Fprintln(os.Stderr, "usage: dvmproxy -origin dir [-addr :8642] [-policy policy.xml] [-self URL -peers URL,...]")
-		os.Exit(2)
+// options is what the command line configures: the proxy and cluster
+// configs plus the command's own serving knobs.
+type options struct {
+	addr, originDir, policyPath, auditLog string
+	noCompile, noAuditFilter, drain       bool
+	pipelineWorkers                       int
+	statsInterval, readHeaderTimeout      time.Duration
+	idleTimeout, drainTimeout             time.Duration
+	// proxy is complete except for Pipeline and OnAudit, which main
+	// builds from the filter and audit-log flags.
+	proxy proxy.Config
+	// cluster.Self is empty for a standalone proxy.
+	cluster cluster.Config
+}
+
+// parseFlags registers every flag on fs, parses args, and maps them
+// onto options.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	var noCache bool
+	var peers, attestKey string
+	p, c := &o.proxy, &o.cluster
+	fs.StringVar(&o.addr, "addr", ":8642", "HTTP listen address")
+	fs.StringVar(&o.originDir, "origin", "", "directory serving original .class files (required)")
+	fs.StringVar(&o.policyPath, "policy", "", "security policy XML (omit to disable the security filter)")
+	fs.BoolVar(&noCache, "no-cache", false, "disable the proxy result cache")
+	fs.StringVar(&p.DiskCacheDir, "disk-cache", "", "directory backing the cache on disk (survives restarts)")
+	fs.DurationVar(&p.CacheTTL, "cache-ttl", 0, "cache entry freshness window; expired entries are revalidated, and served stale when the origin is down (0 = never expire)")
+	fs.BoolVar(&o.noCompile, "no-compile", false, "disable the AOT compilation filter")
+	fs.BoolVar(&o.noAuditFilter, "no-audit", false, "disable the audit rewriting filter")
+	fs.StringVar(&o.auditLog, "audit-log", "", "append the request audit trail to this file")
+	fs.DurationVar(&o.statsInterval, "stats-interval", time.Minute, "periodic stats summary interval (0 disables)")
+	fs.DurationVar(&p.FetchTimeout, "fetch-timeout", 10*time.Second, "per-attempt origin fetch deadline (0 = none)")
+	fs.IntVar(&p.FetchRetries, "retries", 2, "origin fetch retries after the first failed attempt")
+	fs.IntVar(&p.BreakerThreshold, "breaker-threshold", 5, "consecutive origin failures that trip the circuit breaker (-1 disables)")
+	fs.DurationVar(&p.BreakerCooldown, "breaker-cooldown", 5*time.Second, "how long a tripped breaker stays open before probing")
+	fs.StringVar(&c.Self, "self", "", "this node's peer URL in a sharded proxy cluster (e.g. http://10.0.0.1:8642); empty = standalone")
+	fs.StringVar(&peers, "peers", "", "comma-separated seed peer URLs; gossip discovers the rest of the fleet from any live subset")
+	fs.IntVar(&c.VirtualNodes, "vnodes", 0, "virtual nodes per member on the consistent-hash ring (0 = default)")
+	fs.IntVar(&c.Replication, "replication", 0, "ring owners per key: primary plus warm replicas (0 = default 2, 1 = no replication)")
+	fs.DurationVar(&c.GossipInterval, "gossip-interval", 500*time.Millisecond, "membership gossip period")
+	fs.DurationVar(&c.SuspectTimeout, "suspect-timeout", 3*time.Second, "how long an unrefuted suspect survives before being declared dead")
+	fs.BoolVar(&o.drain, "drain", true, "on SIGINT/SIGTERM, announce departure and hand the cache off to the new owners before shutting down")
+	fs.IntVar(&c.HotThreshold, "hot-threshold", 0, "peer fills of one key before it is replicated into the local cache (0 = default 8, -1 = never)")
+	fs.StringVar(&attestKey, "attest-key", "", "shared service key enabling quorum attestation: artifacts are sealed under it and re-verified on every peer hop (all members must agree; empty = attestation off)")
+	fs.IntVar(&c.AttestQuorum, "attest-quorum", 2, "variants per attested key, owner included (1 = seal locally without cross-checking)")
+	fs.StringVar(&c.AttestPolicy, "attest-policy", "always", "which keys run at the full quorum: always, sampled (1-in-attest-sample-rate by key hash), or hot (keys past -hot-threshold)")
+	fs.IntVar(&c.AttestSampleRate, "attest-sample-rate", 0, "1-in-N rate for -attest-policy sampled (0 = default 16)")
+	fs.IntVar(&c.QuarantineAfter, "quarantine-after", 0, "attestation divergences before a peer is quarantined: excluded from fills and variant votes (0 = default 3)")
+	fs.StringVar(&c.AOTBaseArch, "aot-base-arch", "", "enable the fleet-shared AOT code cache: misses for the compiled arch derive from this base architecture's cached artifact (e.g. jvm; empty = off)")
+	fs.IntVar(&c.PrefetchK, "prefetch-k", 0, "predictive prefetch: top-k first-use successors piggybacked onto each peer fill (0 = default 3, -1 disables the predictor)")
+	fs.IntVar(&c.PrefetchBudget, "prefetch-budget", 0, "predictive prefetch: byte budget per piggyback batch (0 = default 256KiB)")
+	fs.Float64Var(&c.PrefetchConfidence, "prefetch-confidence", 0, "predictive prefetch: minimum successor confidence (edge weight / out-weight) to piggyback (0 = default 0.25)")
+	fs.DurationVar(&c.PeerTimeout, "peer-timeout", 3*time.Second, "deadline for one peer class fetch")
+	fs.DurationVar(&o.readHeaderTimeout, "read-header-timeout", 5*time.Second, "bound on reading a request's headers (slowloris guard)")
+	fs.DurationVar(&o.idleTimeout, "idle-timeout", 2*time.Minute, "keep-alive idle connection timeout")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "how long in-flight requests get to finish on shutdown")
+	fs.IntVar(&o.pipelineWorkers, "pipeline-workers", 0, "static-service per-method fan-out (0 = GOMAXPROCS, 1 = sequential)")
+	fs.IntVar(&p.MaxQueue, "max-queue", 0, "admission control: max miss requests queued for a service slot (0 disables admission)")
+	fs.IntVar(&p.MaxConcurrent, "max-concurrent", 0, "admission control: max concurrent origin-fetch+pipeline flights (0 = 8 x GOMAXPROCS)")
+	fs.DurationVar(&p.QueueDeadline, "queue-deadline", 0, "admission control: max wait for a service slot before shedding (0 = 1s)")
+	fs.StringVar(&p.ShedPolicy, "shed-policy", proxy.ShedPriority, "what to shed under overload: priority (stale-serve first, peers before clients), fifo (tail-drop only), none")
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
-	if *self == "" && *peers != "" {
-		log.Fatal("dvmproxy: -peers requires -self")
+	if o.originDir == "" {
+		return o, errors.New("usage: dvmproxy -origin dir [-addr :8642] [-policy policy.xml] [-self URL -peers URL,...]")
+	}
+	if c.Self == "" && peers != "" {
+		return o, errors.New("dvmproxy: -peers requires -self")
+	}
+	p.CacheEnabled = !noCache
+	c.Peers = splitList(peers)
+	c.AttestKey = []byte(attestKey)
+	// The peer links reuse the origin breaker's settings.
+	c.BreakerThreshold, c.BreakerCooldown = p.BreakerThreshold, p.BreakerCooldown
+	return o, nil
+}
+
+// auditLine renders one audit-trail record for -audit-log.
+func auditLine(r proxy.RequestRecord) string {
+	return fmt.Sprintf("client=%s arch=%s class=%s bytes=%d cached=%v coalesced=%v rejected=%v stale=%v shed=%v peer=%q peerErr=%q fetchErr=%q dur=%s\n",
+		r.Client, r.Arch, r.Class, r.Bytes, r.CacheHit, r.Coalesced, r.Rejected, r.Stale, r.Shed, r.Peer, r.PeerError, r.FetchError, r.Duration)
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	pipe := rewrite.NewPipeline(verifier.Filter())
-	pipe.SetWorkers(*pipelineWorkers)
-	if *policyPath != "" {
-		data, err := os.ReadFile(*policyPath)
+	pipe.SetWorkers(o.pipelineWorkers)
+	if o.policyPath != "" {
+		data, err := os.ReadFile(o.policyPath)
 		if err != nil {
 			log.Fatalf("dvmproxy: %v", err)
 		}
@@ -152,84 +194,49 @@ func main() {
 		}
 		pipe.Append(security.Filter(pol))
 	}
-	if !*noAuditFilter {
+	if !o.noAuditFilter {
 		pipe.Append(monitor.Filter(monitor.Config{Methods: true, Skip: monitor.SkipInitializers}))
 	}
-	if !*noCompile {
+	if !o.noCompile {
 		pipe.Append(compiler.Filter())
 	}
 
-	cfg := proxy.Config{
-		Pipeline:         pipe,
-		CacheEnabled:     !*noCache,
-		DiskCacheDir:     *diskCache,
-		CacheTTL:         *cacheTTL,
-		FetchTimeout:     *fetchTimeout,
-		FetchRetries:     *retries,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		MaxQueue:         *maxQueue,
-		MaxConcurrent:    *maxConcurrent,
-		QueueDeadline:    *queueDeadline,
-		ShedPolicy:       *shedPolicy,
-	}
-	if *auditLog != "" {
-		f, err := os.OpenFile(*auditLog, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	cfg, ccfg := o.proxy, o.cluster
+	cfg.Pipeline = pipe
+	if o.auditLog != "" {
+		f, err := os.OpenFile(o.auditLog, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
 			log.Fatalf("dvmproxy: %v", err)
 		}
 		defer f.Close()
-		cfg.OnAudit = func(r proxy.RequestRecord) {
-			fmt.Fprintf(f, "client=%s arch=%s class=%s bytes=%d cached=%v coalesced=%v rejected=%v stale=%v peer=%q peerErr=%q fetchErr=%q dur=%s\n",
-				r.Client, r.Arch, r.Class, r.Bytes, r.CacheHit, r.Coalesced, r.Rejected, r.Stale, r.Peer, r.PeerError, r.FetchError, r.Duration)
-		}
+		cfg.OnAudit = func(r proxy.RequestRecord) { fmt.Fprint(f, auditLine(r)) }
 	}
 
-	origin := dirOrigin{root: *originDir}
+	origin := dirOrigin{root: o.originDir}
 	var handler http.Handler
 	var stats func() proxy.Stats
 	var node *cluster.Node
-	if *self != "" {
+	if ccfg.Self != "" {
 		var err error
-		node, err = cluster.NewNode(origin, cfg, cluster.Config{
-			Self:               *self,
-			Peers:              splitList(*peers),
-			VirtualNodes:       *vnodes,
-			Replication:        *replication,
-			GossipInterval:     *gossipInterval,
-			SuspectTimeout:     *suspectTimeout,
-			HotThreshold:       *hotThreshold,
-			PeerTimeout:        *peerTimeout,
-			BreakerThreshold:   *breakerThreshold,
-			BreakerCooldown:    *breakerCooldown,
-			AttestKey:          []byte(*attestKey),
-			AttestQuorum:       *attestQuorum,
-			AttestPolicy:       *attestPolicy,
-			AttestSampleRate:   *attestSampleRate,
-			QuarantineAfter:    *quarantineAfter,
-			PrefetchK:          *prefetchK,
-			PrefetchBudget:     *prefetchBudget,
-			PrefetchConfidence: *prefetchConfidence,
-			AOTBaseArch:        *aotBaseArch,
-		})
+		node, err = cluster.NewNode(origin, cfg, ccfg)
 		if err != nil {
 			log.Fatalf("dvmproxy: %v", err)
 		}
 		handler = node.Handler()
 		stats = node.Proxy().Stats
 		log.Printf("dvmproxy: cluster node %s with %d members (ring seed 0, vnodes %d, replication %d, gossip %s, suspect timeout %s)",
-			*self, node.Ring().Size(), *vnodes, *replication, *gossipInterval, *suspectTimeout)
-		if *attestKey != "" {
+			ccfg.Self, node.Ring().Size(), ccfg.VirtualNodes, ccfg.Replication, ccfg.GossipInterval, ccfg.SuspectTimeout)
+		if len(ccfg.AttestKey) > 0 {
 			log.Printf("dvmproxy: quorum attestation on (quorum %d, policy %s): artifacts are sealed and re-verified on every peer hop",
-				*attestQuorum, *attestPolicy)
+				ccfg.AttestQuorum, ccfg.AttestPolicy)
 		}
-		if *prefetchK >= 0 {
+		if ccfg.PrefetchK >= 0 {
 			log.Printf("dvmproxy: predictive prefetch on (top-k %d, budget %dB, confidence %.2f; 0 = package default)",
-				*prefetchK, *prefetchBudget, *prefetchConfidence)
+				ccfg.PrefetchK, ccfg.PrefetchBudget, ccfg.PrefetchConfidence)
 		}
-		if *aotBaseArch != "" {
+		if ccfg.AOTBaseArch != "" {
 			log.Printf("dvmproxy: AOT code cache on: misses for the compiled arch derive from cached %q artifacts (one compilation per key fleet-wide)",
-				*aotBaseArch)
+				ccfg.AOTBaseArch)
 		}
 	} else {
 		p := proxy.New(origin, cfg)
@@ -249,8 +256,8 @@ func main() {
 	// a Ticker plus a done channel actually terminates the goroutine.
 	tickerDone := make(chan struct{})
 	tickerStopped := make(chan struct{})
-	if *statsInterval > 0 {
-		ticker := time.NewTicker(*statsInterval)
+	if o.statsInterval > 0 {
+		ticker := time.NewTicker(o.statsInterval)
 		go func() {
 			defer close(tickerStopped)
 			defer ticker.Stop()
@@ -268,13 +275,13 @@ func main() {
 	}
 
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           handler,
-		ReadHeaderTimeout: *readHeaderTimeout,
-		IdleTimeout:       *idleTimeout,
+		ReadHeaderTimeout: o.readHeaderTimeout,
+		IdleTimeout:       o.idleTimeout,
 	}
 	log.Printf("dvmproxy: serving %s on %s (cache=%v, filters=%d, fetch-timeout=%s, retries=%d, breaker-threshold=%d)",
-		*originDir, *addr, !*noCache, len(pipe.Filters()), *fetchTimeout, *retries, *breakerThreshold)
+		o.originDir, o.addr, cfg.CacheEnabled, len(pipe.Filters()), cfg.FetchTimeout, cfg.FetchRetries, cfg.BreakerThreshold)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -286,11 +293,11 @@ func main() {
 	case <-ctx.Done():
 	}
 	stop()
-	log.Printf("dvmproxy: signal received, draining connections (up to %s)", *drainTimeout)
+	log.Printf("dvmproxy: signal received, draining connections (up to %s)", o.drainTimeout)
 	close(tickerDone)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
-	if node != nil && *drain {
+	if node != nil && o.drain {
 		// Cluster goodbye before the HTTP server goes away: announce the
 		// departure (peers re-route new fills immediately, 429 +
 		// X-DVM-Draining covers the gossip gap) and push the cache to

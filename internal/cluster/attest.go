@@ -65,35 +65,25 @@ const (
 // before the round is declared unresolvable.
 const maxAttestExtraRounds = 2
 
-// attestFlight is the proxy's Attest hook: run the quorum protocol for
-// one freshly transformed artifact and return the sealed attestation.
-// Runs on the flight goroutine under the admission slot, so the
-// variants' round-trips are part of the key's one-time service cost.
-func (n *Node) attestFlight(ctx context.Context, arch, class string, raw, out []byte) (*attest.Attestation, error) {
-	return n.attestQuorum(ctx, arch, class, raw, out, "")
-}
-
-// attestCompileFlight is the proxy's AttestCompile hook: the quorum
-// protocol for an AOT-derived artifact. The dispatched payload is the
-// base-architecture artifact (not origin bytes), and variants vote in
-// compile mode — each re-derives with its own compiler and answers
-// with the digest, so compiler corruption diverges exactly like
-// pipeline corruption does on the transform route.
-func (n *Node) attestCompileFlight(ctx context.Context, arch, class string, base, out []byte) (*attest.Attestation, error) {
-	return n.attestQuorum(ctx, arch, class, base, out, attestModeCompile)
-}
-
-// attestQuorum is the shared quorum engine behind both hooks: dispatch
-// payload to ring successors under mode, tally digests against the
-// local out, escalate ties, seal on agreement.
-func (n *Node) attestQuorum(ctx context.Context, arch, class string, payload, out []byte, mode string) (*attest.Attestation, error) {
+// attestQuorum is the proxy's Attest hook: run the quorum protocol for
+// one artifact this node just built and return the sealed attestation.
+// payload goes to ring successors, who vote with the digest of their
+// own output: for a transformed artifact it is the origin bytes and
+// each variant runs its pipeline; for an AOT-derived one (fromBase) it
+// is the base-architecture artifact and each variant re-derives with its
+// own compiler in compile mode, so compiler corruption diverges exactly
+// like pipeline corruption does. Votes are tallied against the local
+// out, ties escalate, agreement seals. Runs on the flight goroutine
+// under the admission slot, so the variants' round-trips are part of
+// the key's one-time service cost.
+func (n *Node) attestQuorum(ctx context.Context, arch, class string, payload, out []byte, fromBase bool) (*attest.Attestation, error) {
 	local := attest.Digest(out)
 	want := n.authority.QuorumFor(arch, class)
 	if want <= 1 {
 		return n.authority.Attest(arch, class, out, 1, []string{n.cfg.Self}), nil
 	}
 	candidates := n.variantCandidates(arch, class)
-	votes, rest := n.collectVotes(ctx, arch, class, payload, candidates, want-1, mode)
+	votes, rest := n.collectVotes(ctx, arch, class, payload, candidates, want-1, fromBase)
 	if len(votes) == 0 {
 		// Every candidate was down, shedding, or already quarantined.
 		// Availability wins: seal at quorum 1 (counted, so a fleet that
@@ -107,7 +97,7 @@ func (n *Node) attestQuorum(ctx context.Context, arch, class string, payload, ou
 	// candidate pool (or the round budget) is exhausted.
 	for extra := 0; majority == "" && extra < maxAttestExtraRounds && len(rest) > 0; extra++ {
 		var more []attest.Vote
-		more, rest = n.collectVotes(ctx, arch, class, payload, rest, 1, mode)
+		more, rest = n.collectVotes(ctx, arch, class, payload, rest, 1, fromBase)
 		if len(more) == 0 {
 			break
 		}
@@ -165,7 +155,7 @@ func (n *Node) variantCandidates(arch, class string) []string {
 // dispatching concurrently and refilling from the remaining pool as
 // variants fail or shed. Returns the votes and the unused candidates
 // (the tie-break pool).
-func (n *Node) collectVotes(ctx context.Context, arch, class string, raw []byte, candidates []string, need int, mode string) ([]attest.Vote, []string) {
+func (n *Node) collectVotes(ctx context.Context, arch, class string, raw []byte, candidates []string, need int, fromBase bool) ([]attest.Vote, []string) {
 	votes := make([]attest.Vote, 0, need)
 	i := 0
 	for len(votes) < need && i < len(candidates) {
@@ -181,7 +171,7 @@ func (n *Node) collectVotes(ctx context.Context, arch, class string, raw []byte,
 		ch := make(chan result, len(batch))
 		for _, peer := range batch {
 			go func(peer string) {
-				d, err := n.variantDigest(ctx, peer, arch, class, raw, mode)
+				d, err := n.variantDigest(ctx, peer, arch, class, raw, fromBase)
 				ch <- result{attest.Vote{Voter: peer, Digest: d}, err == nil}
 			}(peer)
 		}
@@ -198,7 +188,7 @@ func (n *Node) collectVotes(ctx context.Context, arch, class string, raw []byte,
 // under the peer's circuit breaker: a 429 (backpressure or drain) is a
 // healthy shed, a transport failure feeds the breaker like any other
 // peer-protocol failure.
-func (n *Node) variantDigest(ctx context.Context, peer, arch, class string, raw []byte, mode string) (string, error) {
+func (n *Node) variantDigest(ctx context.Context, peer, arch, class string, raw []byte, fromBase bool) (string, error) {
 	b := n.breaker(peer)
 	if err := b.Allow(); err != nil {
 		return "", err
@@ -214,8 +204,8 @@ func (n *Node) variantDigest(ctx context.Context, peer, arch, class string, raw 
 		return "", err
 	}
 	req.Header.Set("X-DVM-Arch", arch)
-	if mode != "" {
-		req.Header.Set(attestModeHeader, mode)
+	if fromBase {
+		req.Header.Set(attestModeHeader, attestModeCompile)
 	}
 	req.Header.Set("X-DVM-Client", "peer:"+n.cfg.Self)
 	req.Header.Set("Content-Type", "application/java-vm")

@@ -16,6 +16,7 @@ import (
 	"dvm/internal/classfile"
 	"dvm/internal/classgen"
 	"dvm/internal/cluster"
+	"dvm/internal/eval"
 	"dvm/internal/netsim"
 	"dvm/internal/proxy"
 	"dvm/internal/rewrite"
@@ -139,7 +140,7 @@ func TestClusterSingleOriginFetchPerKey(t *testing.T) {
 
 	// The round-robin baseline: same workload, N independent caches.
 	org2 := &countingOrigin{inner: corpus(t, classes)}
-	group, err := proxy.NewReplicaGroup(org2, nodes, func(int) proxy.Config {
+	group, err := eval.NewReplicaGroup(org2, nodes, func(int) proxy.Config {
 		return verifyingProxyCfg(0)
 	})
 	if err != nil {

@@ -281,7 +281,9 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 			},
 			QuarantineAfter: cfg.QuarantineAfter,
 		})
-		pcfg.Attest = n.attestFlight
+		// Transformed and AOT-derived artifacts get the same N-variant
+		// cross-check; the hook's fromBase argument picks the vote mode.
+		pcfg.Attest = n.attestQuorum
 	}
 	if cfg.AOTBaseArch != "" && pcfg.AOT == nil {
 		pcfg.AOT = &proxy.AOTConfig{
@@ -289,11 +291,6 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 			BaseArch: cfg.AOTBaseArch,
 			Compile:  compiler.CompileArtifact,
 		}
-	}
-	if pcfg.AOT != nil && pcfg.AOT.AttestCompile == nil && len(cfg.AttestKey) > 0 {
-		// Derived artifacts get the same N-variant cross-check as
-		// transformed ones, in compile mode.
-		pcfg.AOT.AttestCompile = n.attestCompileFlight
 	}
 	if pcfg.Node == "" {
 		pcfg.Node = cfg.Self // trace spans name the node by its peer URL

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dvm/internal/cluster"
-	"dvm/internal/netsim"
 	"dvm/internal/proxy"
 	"dvm/internal/telemetry"
 )
@@ -72,32 +71,17 @@ const clusterWalkLen = 8
 // the prefetch hit/waste ledger. The cluster's peer hops run over real
 // loopback HTTP.
 func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterScalingRow, string, error) {
-	origin, err := Corpus(cfg.Applets, cfg.AppletKB*1024, 42)
+	delayed, err := appletInternet(cfg)
 	if err != nil {
 		return nil, "", err
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 3 * time.Second
 	}
-	inet := netsim.NewInternet(7)
-	delayed := proxy.DelayedOrigin{
-		Origin: origin,
-		Delay: func(string) {
-			if cfg.InternetScale > 0 {
-				lat := inet.FetchLatency()
-				if lat > 8*time.Second {
-					lat = 8 * time.Second
-				}
-				time.Sleep(time.Duration(float64(lat) * cfg.InternetScale))
-			}
-		},
-	}
 	mkProxy := func(int) proxy.Config {
 		return proxy.Config{
-			Pipeline:           ServicePipeline(StandardPolicy(), false),
-			CacheEnabled:       true,
-			MemoryBudget:       cfg.MemoryBudget,
-			PagingPenaltyPerMB: 150 * time.Millisecond,
+			Pipeline:     ServicePipeline(StandardPolicy(), false),
+			CacheEnabled: true,
 		}
 	}
 
@@ -114,7 +98,7 @@ func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterSc
 			}
 			return cluster.Config{PrefetchK: -1}
 		}
-		lc, err := cluster.StartLocal(delayed, n, mkProxy, mkClust)
+		lc, err := cluster.StartLocal(pagingOrigin{delayed}, n, mkProxy, mkClust)
 		if err != nil {
 			return ClusterScalingRow{}, err
 		}
@@ -134,18 +118,21 @@ func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterSc
 		if s := traceSample(lc, cfg.Applets); s != "" && breakdown == "" {
 			breakdown = s
 		}
+		// Each node is a host under the memory model for the clients it
+		// serves; fetches an owner makes for a peer's fill are unmodeled.
+		requests := make([]requestFunc, n)
+		for i, node := range lc.Nodes {
+			requests[i] = hostMemory(cfg.MemoryBudget, node.Request)
+		}
 		row, err := driveFleet(mode, n, clients, cfg, func(c int) requestFunc {
-			return lc.Nodes[c%n].Request
+			return requests[c%n]
 		})
 		if err != nil {
 			return ClusterScalingRow{}, err
 		}
 		var total proxy.Stats
 		for _, node := range lc.Nodes {
-			s := node.Proxy().Stats()
-			total.Requests += s.Requests
-			total.CacheHits += s.CacheHits
-			total.OriginFetches += s.OriginFetches
+			total.Add(node.Proxy().Stats())
 		}
 		row = finishRow(row, total, cfg.Applets)
 		for _, node := range lc.Nodes {
@@ -159,10 +146,11 @@ func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterSc
 
 	for _, n := range nodeCounts {
 		// Round-robin baseline: N independent caches.
-		group, err := proxy.NewReplicaGroup(delayed, n, mkProxy)
+		group, err := NewReplicaGroup(delayed, n, mkProxy)
 		if err != nil {
 			return nil, "", err
 		}
+		group.withMemory(cfg.MemoryBudget)
 		row, err := driveFleet("round-robin", n, clients, cfg, func(c int) requestFunc {
 			return group.Request
 		})

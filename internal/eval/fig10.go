@@ -73,7 +73,7 @@ type Fig10Config struct {
 	// Duration is the sustained-load measurement window per client count.
 	Duration time.Duration
 	// MemoryBudget models the proxy host's RAM (the paper's server had
-	// 64 MB); 0 disables the model.
+	// 64 MB; see paging.go); 0 disables the model.
 	MemoryBudget int64
 	// InternetScale scales the synthetic Internet latency into real
 	// sleeps (e.g. 0.001 turns 2.2 s into 2.2 ms). 0 disables upstream
@@ -103,74 +103,25 @@ func DefaultFig10Config() Fig10Config {
 // applets through one proxy with caching disabled (the paper's worst
 // case) for a fixed window, and reports sustained throughput.
 func Fig10(clientCounts []int, cfg Fig10Config) ([]Fig10Row, string, error) {
-	origin, err := Corpus(cfg.Applets, cfg.AppletKB*1024, 42)
+	delayed, err := appletInternet(cfg)
 	if err != nil {
 		return nil, "", err
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 3 * time.Second
 	}
-	inet := netsim.NewInternet(7)
 	rows := make([]Fig10Row, 0, len(clientCounts))
 	for _, n := range clientCounts {
-		delayed := proxy.DelayedOrigin{
-			Origin: origin,
-			Delay: func(string) {
-				if cfg.InternetScale > 0 {
-					lat := inet.FetchLatency()
-					// Browsers and proxies of the era timed out slow
-					// fetches; cap the log-normal tail accordingly so the
-					// measurement window stays meaningful.
-					if lat > 8*time.Second {
-						lat = 8 * time.Second
-					}
-					time.Sleep(time.Duration(float64(lat) * cfg.InternetScale))
-				}
-			},
-		}
 		pipe := ServicePipeline(StandardPolicy(), false)
 		pipe.SetWorkers(cfg.PipelineWorkers)
-		p := proxy.New(delayed, proxy.Config{
+		p := proxy.New(pagingOrigin{delayed}, proxy.Config{
 			Pipeline:     pipe,
 			CacheEnabled: false, // worst case, per the paper
-			MemoryBudget: cfg.MemoryBudget,
-			// Thrashing is brutal once physical memory is oversubscribed;
-			// the penalty makes each paged request ~an order of magnitude
-			// slower, as the paper's 64 MB server exhibited past ~250
-			// clients.
-			PagingPenaltyPerMB: 150 * time.Millisecond,
 		})
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		var totalBytes int64
-		var fetches int64
-		start := telemetry.StartTimer()
-		deadline := time.Now().Add(cfg.Duration)
-		for c := 0; c < n; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for f := 0; time.Now().Before(deadline); f++ {
-					applet := fmt.Sprintf("net/Applet%03d", (c+f)%cfg.Applets)
-					res, err := p.Request(context.Background(), proxy.Lookup{
-						Client: fmt.Sprintf("client-%d", c), Arch: "dvm", Class: applet,
-					})
-					mu.Lock()
-					if err != nil && firstErr == nil {
-						firstErr = err
-					}
-					totalBytes += int64(len(res.Data))
-					fetches++
-					mu.Unlock()
-				}
-			}(c)
+		totalBytes, fetches, _, elapsed, err := appletLoad(n, cfg, hostMemory(cfg.MemoryBudget, p.Request))
+		if err != nil {
+			return nil, "", err
 		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, "", firstErr
-		}
-		elapsed := start.Elapsed()
 		st := p.Stats()
 		// Client-observed latency comes from the proxy's own request
 		// histogram: the same numbers /metrics exports.
@@ -188,11 +139,7 @@ func Fig10(clientCounts []int, cfg Fig10Config) ([]Fig10Row, string, error) {
 			P95:              lat.Quantile(0.95),
 			P99:              lat.Quantile(0.99),
 		}
-		if totalBytes > 0 && fetches > 0 {
-			avgLatency := float64(lat.Sum) / float64(fetches)
-			avgKB := float64(totalBytes) / float64(fetches) / 1024
-			row.LatencyPerKB = time.Duration(avgLatency / avgKB)
-		}
+		row.LatencyPerKB = perKB(lat.Sum, totalBytes)
 		rows = append(rows, row)
 	}
 	var cells [][]string
@@ -209,6 +156,71 @@ func Fig10(clientCounts []int, cfg Fig10Config) ([]Fig10Row, string, error) {
 		})
 	}
 	return rows, table([]string{"Clients", "Throughput (KB/s)", "Latency/KB (ms)", "p50 (ms)", "p95 (ms)", "p99 (ms)", "Coalesced", "Elapsed (s)"}, cells), nil
+}
+
+// appletInternet builds cfg's applet corpus behind the synthetic
+// Internet: the paper's applet-fetch latency distribution, scaled by
+// cfg.InternetScale into real sleeps (0 = no delay).
+func appletInternet(cfg Fig10Config) (proxy.Origin, error) {
+	corpus, err := Corpus(cfg.Applets, cfg.AppletKB*1024, 42)
+	if err != nil {
+		return nil, err
+	}
+	inet := netsim.NewInternet(7)
+	return proxy.DelayedOrigin{
+		Origin: corpus,
+		Delay: func(string) {
+			if cfg.InternetScale > 0 {
+				// Browsers and proxies of the era timed out slow fetches;
+				// cap the log-normal tail accordingly so the measurement
+				// window stays meaningful.
+				time.Sleep(time.Duration(float64(min(inet.FetchLatency(), 8*time.Second)) * cfg.InternetScale))
+			}
+		},
+	}, nil
+}
+
+// appletLoad is the Figure 10 load: clients each fetch applets in turn,
+// starting at their own offset, through request until cfg.Duration
+// has passed. It returns the bytes served, the requests made, their
+// summed client-observed latency, and the elapsed time.
+func appletLoad(clients int, cfg Fig10Config, request requestFunc) (bytes, fetches int64, latency, elapsed time.Duration, err error) {
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	start := telemetry.StartTimer()
+	deadline := time.Now().Add(cfg.Duration)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for f := 0; time.Now().Before(deadline); f++ {
+				t0 := telemetry.StartTimer()
+				res, rerr := request(context.Background(), proxy.Lookup{
+					Client: fmt.Sprintf("client-%d", c), Arch: "dvm", Class: fmt.Sprintf("net/Applet%03d", (c+f)%cfg.Applets),
+				})
+				d := t0.Elapsed()
+				mu.Lock()
+				if rerr != nil && err == nil {
+					err = rerr
+				}
+				bytes += int64(len(res.Data))
+				latency += d
+				fetches++
+				mu.Unlock()
+			}
+		}(c)
+	}
+	wg.Wait()
+	return bytes, fetches, latency, start.Elapsed(), err
+}
+
+// perKB is the average latency per KB served: total latency over total
+// kilobytes, the request count cancelling out.
+func perKB(latency time.Duration, bytes int64) time.Duration {
+	if bytes <= 0 {
+		return 0
+	}
+	return time.Duration(float64(latency) / (float64(bytes) / 1024))
 }
 
 // AppletFetchRow reports the §4.1.2 applet-download measurements.

@@ -3,13 +3,113 @@ package eval
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
-	"dvm/internal/netsim"
 	"dvm/internal/proxy"
 	"dvm/internal/telemetry"
 )
+
+// ReplicaGroup addresses the centralization concern of §2: "Centralization
+// can lead to a bottleneck in performance or result in a single point of
+// failure within the network. These problems can be addressed by
+// replicated or recoverable server implementations."
+//
+// The group fronts several independent proxies over the same origin.
+// Static service components need no shared mutable state ("they do not
+// inherently need to synchronize with clients or require exclusive
+// access to shared state"), so replicas are plain copies; requests are
+// spread round-robin and a replica failure falls over to the next.
+type ReplicaGroup struct {
+	replicas []*proxy.Proxy
+	requests []requestFunc // each replica's Request under its memory model
+	next     atomic.Uint64
+}
+
+// NewReplicaGroup builds n replicas over the origin, each with its own
+// cache and pipeline built by mkConfig (called once per replica).
+func NewReplicaGroup(origin proxy.Origin, n int, mkConfig func(i int) proxy.Config) (*ReplicaGroup, error) {
+	origins := make([]proxy.Origin, max(n, 0))
+	for i := range origins {
+		origins[i] = origin
+	}
+	return NewReplicaGroupMixed(origins, mkConfig)
+}
+
+// NewReplicaGroupMixed builds one replica per origin (used when replicas
+// sit on different hosts with different upstream connectivity).
+func NewReplicaGroupMixed(origins []proxy.Origin, mkConfig func(i int) proxy.Config) (*ReplicaGroup, error) {
+	if len(origins) == 0 {
+		return nil, fmt.Errorf("eval: replica group needs at least 1 replica")
+	}
+	g := &ReplicaGroup{}
+	for i, o := range origins {
+		p := proxy.New(pagingOrigin{o}, mkConfig(i))
+		g.replicas = append(g.replicas, p)
+		g.requests = append(g.requests, p.Request)
+	}
+	return g, nil
+}
+
+// withMemory makes each replica a host with budget bytes under the
+// Figure 10 memory model (0 = unmodeled).
+func (g *ReplicaGroup) withMemory(budget int64) *ReplicaGroup {
+	for i, p := range g.replicas {
+		g.requests[i] = hostMemory(budget, p.Request)
+	}
+	return g
+}
+
+// Size returns the number of replicas.
+func (g *ReplicaGroup) Size() int { return len(g.replicas) }
+
+// Replica returns the i-th replica (diagnostics, per-replica stats).
+func (g *ReplicaGroup) Replica(i int) *proxy.Proxy { return g.replicas[i] }
+
+// Request serves a class from the next replica in round-robin order,
+// failing over to the remaining replicas on error. The caller's ctx
+// bounds the whole failover sweep; once it expires no further replicas
+// are tried.
+func (g *ReplicaGroup) Request(ctx context.Context, l proxy.Lookup) (proxy.Result, error) {
+	start := int(g.next.Add(1)-1) % len(g.replicas)
+	var firstErr error
+	var firstRes proxy.Result
+	for i := 0; i < len(g.replicas); i++ {
+		if cerr := ctx.Err(); cerr != nil {
+			if firstErr == nil {
+				firstErr = cerr
+			}
+			break
+		}
+		res, err := g.requests[(start+i)%len(g.replicas)](ctx, l)
+		if err == nil {
+			return res, nil
+		}
+		if firstErr == nil {
+			firstErr, firstRes = err, res
+		}
+	}
+	return firstRes, firstErr
+}
+
+// RequestLatency merges the replicas' request-latency histograms into
+// one group-wide snapshot.
+func (g *ReplicaGroup) RequestLatency() telemetry.HistSnapshot {
+	var s telemetry.HistSnapshot
+	for _, p := range g.replicas {
+		_ = s.Merge(p.RequestLatency())
+	}
+	return s
+}
+
+// Stats aggregates the replica counters.
+func (g *ReplicaGroup) Stats() proxy.Stats {
+	var out proxy.Stats
+	for _, p := range g.replicas {
+		out.Add(p.Stats())
+	}
+	return out
+}
 
 // AblationReplicationRow is one point of the replication experiment.
 type AblationReplicationRow struct {
@@ -35,83 +135,33 @@ type AblationReplicationRow struct {
 // cluster — so the duplicate-work numbers sit next to the throughput
 // restoration they motivate.
 func AblationReplication(clients int, replicaCounts []int, cfg Fig10Config) ([]AblationReplicationRow, string, error) {
-	origin, err := Corpus(cfg.Applets, cfg.AppletKB*1024, 42)
+	delayed, err := appletInternet(cfg)
 	if err != nil {
 		return nil, "", err
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 3 * time.Second
 	}
-	inet := netsim.NewInternet(7)
-	delayed := proxy.DelayedOrigin{
-		Origin: origin,
-		Delay: func(string) {
-			if cfg.InternetScale > 0 {
-				lat := inet.FetchLatency()
-				if lat > 8*time.Second {
-					lat = 8 * time.Second
-				}
-				time.Sleep(time.Duration(float64(lat) * cfg.InternetScale))
-			}
-		},
-	}
 	rows := make([]AblationReplicationRow, 0, len(replicaCounts))
 	for _, nr := range replicaCounts {
-		group, err := proxy.NewReplicaGroup(delayed, nr, func(int) proxy.Config {
+		group, err := NewReplicaGroup(delayed, nr, func(int) proxy.Config {
 			return proxy.Config{
-				Pipeline:           ServicePipeline(StandardPolicy(), false),
-				CacheEnabled:       false,
-				MemoryBudget:       cfg.MemoryBudget,
-				PagingPenaltyPerMB: 150 * time.Millisecond,
+				Pipeline:     ServicePipeline(StandardPolicy(), false),
+				CacheEnabled: false,
 			}
 		})
 		if err != nil {
 			return nil, "", err
 		}
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var totalBytes int64
-		var totalLatency time.Duration
-		var fetches int64
-		var firstErr error
-		start := telemetry.StartTimer()
-		deadline := time.Now().Add(cfg.Duration)
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for f := 0; time.Now().Before(deadline); f++ {
-					applet := fmt.Sprintf("net/Applet%03d", (c+f)%cfg.Applets)
-					t0 := telemetry.StartTimer()
-					res, err := group.Request(context.Background(), proxy.Lookup{
-						Client: fmt.Sprintf("client-%d", c), Arch: "dvm", Class: applet,
-					})
-					d := t0.Elapsed()
-					mu.Lock()
-					if err != nil && firstErr == nil {
-						firstErr = err
-					}
-					totalBytes += int64(len(res.Data))
-					totalLatency += d
-					fetches++
-					mu.Unlock()
-				}
-			}(c)
+		totalBytes, _, totalLatency, elapsed, err := appletLoad(clients, cfg, group.withMemory(cfg.MemoryBudget).Request)
+		if err != nil {
+			return nil, "", err
 		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, "", firstErr
-		}
-		elapsed := start.Elapsed()
 		row := AblationReplicationRow{
 			Replicas:      nr,
 			Clients:       clients,
 			ThroughputBps: float64(totalBytes) / elapsed.Seconds(),
-		}
-		if fetches > 0 && totalBytes > 0 {
-			avgLatency := float64(totalLatency) / float64(fetches)
-			avgKB := float64(totalBytes) / float64(fetches) / 1024
-			row.LatencyPerKB = time.Duration(avgLatency / avgKB)
+			LatencyPerKB:  perKB(totalLatency, totalBytes),
 		}
 		gs := group.Stats()
 		row.OriginFetches = gs.OriginFetches

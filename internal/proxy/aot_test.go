@@ -17,14 +17,24 @@ import (
 // artifacts from the "jvm" base architecture.
 func aotProxy(t *testing.T, o proxy.Origin, hook func(ctx context.Context, arch, class string, base, out []byte) (*attest.Attestation, error)) *proxy.Proxy {
 	t.Helper()
+	var attestHook func(ctx context.Context, arch, class string, in, out []byte, fromBase bool) (*attest.Attestation, error)
+	if hook != nil {
+		// hook seals derived artifacts only; transformed ones stay unattested.
+		attestHook = func(ctx context.Context, arch, class string, in, out []byte, fromBase bool) (*attest.Attestation, error) {
+			if !fromBase {
+				return nil, nil
+			}
+			return hook(ctx, arch, class, in, out)
+		}
+	}
 	return proxy.New(o, proxy.Config{
 		Pipeline:     fullPipeline(t),
 		CacheEnabled: true,
+		Attest:       attestHook,
 		AOT: &proxy.AOTConfig{
-			Arch:          compiler.ArchDVM,
-			BaseArch:      "jvm",
-			Compile:       compiler.CompileArtifact,
-			AttestCompile: hook,
+			Arch:     compiler.ArchDVM,
+			BaseArch: "jvm",
+			Compile:  compiler.CompileArtifact,
 		},
 	})
 }

@@ -115,10 +115,9 @@ func TestCoalescedFlightSurvivesLeaderCancel(t *testing.T) {
 		res, err := p.Request(context.Background(), proxy.Lookup{Client: "follower", Arch: "dvm", Class: "app/Dep"})
 		followerDone <- followerResult{res, err}
 	}()
-	// The worker holds one connection's memory; the follower joining the
-	// flight holds a second.
+	// The leader and the follower both wait on the one flight.
 	waitFor(t, "follower to join the flight", func() bool {
-		return p.Health().Gauges["inflight_bytes"] >= 2*256<<10
+		return p.FlightWaiters("dvm", "app/Dep") >= 2
 	})
 
 	cancelLeader()

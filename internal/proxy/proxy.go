@@ -52,10 +52,10 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dvm/internal/attest"
@@ -212,15 +212,18 @@ type Config struct {
 	// flight goroutine, so it must not block — enqueue and return.
 	OnTransformed func(arch, class string, data []byte, att *attest.Attestation)
 
-	// Attest, when set, turns each locally transformed class into a
-	// quorum-attested artifact before it is cached or served: the cluster
-	// layer dispatches the origin bytes to ring successors, compares
-	// output digests, and returns the sealed attestation on agreement.
-	// An error fails the flight — a node must never serve bytes its own
-	// fleet outvoted. Runs on the flight goroutine under the admission
-	// slot, so the quorum round-trip is part of the request's service
-	// time (that is the measured tax of -attest-quorum > 1).
-	Attest func(ctx context.Context, arch, class string, raw, out []byte) (*attest.Attestation, error)
+	// Attest, when set, turns each class this node built into a
+	// quorum-attested artifact before it is cached or served: the
+	// cluster layer dispatches in to ring successors, compares output
+	// digests, and returns the sealed attestation on agreement. in is the
+	// origin bytes the pipeline ran over, or — when fromBase is set — the
+	// cached base-architecture artifact an AOT derive compiled (variants
+	// then re-derive instead of re-transforming). An error fails the
+	// flight — a node must never serve bytes its own fleet outvoted. Runs
+	// on the flight goroutine under the admission slot, so the quorum
+	// round-trip is part of the request's service time (that is the
+	// measured tax of -attest-quorum > 1).
+	Attest func(ctx context.Context, arch, class string, in, out []byte, fromBase bool) (*attest.Attestation, error)
 
 	// AOT, when set, turns the compiler's output into a fleet-shared
 	// derived artifact: a request for AOT.Arch whose base-architecture
@@ -231,14 +234,6 @@ type Config struct {
 	// top of it. See AOTConfig.
 	AOT *AOTConfig
 
-	// MemoryBudget models the server's physical memory: when the bytes
-	// held by in-flight requests exceed it, each request pays a paging
-	// penalty proportional to the overshoot (reproduces the >250-client
-	// degradation of Figure 10). 0 disables the model.
-	MemoryBudget int64
-	// PagingPenaltyPerMB is the added delay per MiB of overshoot
-	// (default 2ms when MemoryBudget is set).
-	PagingPenaltyPerMB time.Duration
 	// OnAudit receives the audit trail (central administration console).
 	OnAudit func(RequestRecord)
 }
@@ -262,11 +257,6 @@ type AOTConfig struct {
 	// (parse, quicken, re-encode). It must be deterministic: attestation
 	// variants re-run it over the same base bytes and compare digests.
 	Compile func(base []byte) ([]byte, error)
-	// AttestCompile, when set, seals a derived artifact the way
-	// Config.Attest seals a transformed one: the cluster dispatches the
-	// base bytes to ring successors in compile mode, each re-derives and
-	// votes with its digest (CompileDigest). An error fails the flight.
-	AttestCompile func(ctx context.Context, arch, class string, base, out []byte) (*attest.Attestation, error)
 }
 
 // PeerOutcome says how a PeerFill attempt resolved.
@@ -390,11 +380,11 @@ type Stats struct {
 	// compilation (cache hit or peer fill); CompileMisses counts local
 	// compilations — a cheap derivation from the cached base artifact,
 	// or a full pipeline run when no base was resident.
-	CompileHits    int64
-	CompileMisses  int64
-	BytesIn        int64
-	BytesOut         int64
-	ProxyTime        time.Duration
+	CompileHits   int64
+	CompileMisses int64
+	BytesIn       int64
+	BytesOut      int64
+	ProxyTime     time.Duration
 	// Breaker is the origin circuit-breaker snapshot.
 	Breaker resilience.BreakerCounts
 }
@@ -416,11 +406,11 @@ type cacheEntry struct {
 	rejected bool
 }
 
-// flight is one in-progress origin fetch + pipeline run that concurrent
-// requests for the same key share. The work runs on its own detached
-// context (a worker goroutine), so the client that happened to arrive
-// first can disconnect without failing everyone else on the flight: the
-// work is canceled only when the last waiter leaves.
+// flight is one in-progress miss that concurrent requests for the same
+// key share. The work runs on its own detached context (a worker
+// goroutine), so the client that happened to arrive first can
+// disconnect without failing everyone else on the flight: the work is
+// canceled only when the last waiter leaves.
 type flight struct {
 	done   chan struct{}      // closed when the worker finishes
 	cancel context.CancelFunc // stops the worker; called on last leave
@@ -430,16 +420,29 @@ type flight struct {
 	// the result anymore and the worker is canceled.
 	waiters int
 
-	// Results, published before done is closed.
-	data      []byte
-	att       *attest.Attestation
+	// resolution is the flight's result, published before done is closed.
+	resolution
+}
+
+// resolution is what one step of the miss path produced: the bytes to
+// serve, what they were built from, and how they were obtained.
+type resolution struct {
+	data []byte
+	att  *attest.Attestation
+	// built marks bytes this node produced (pipeline run or AOT derive)
+	// from in: origin bytes, or the base artifact when fromBase. commit
+	// attests, caches and reports them.
+	built     bool
+	in        []byte
+	fromBase  bool
+	cache     bool // commit caches bytes obtained elsewhere (a hot key's peer copy)
 	rejected  bool
 	stale     bool
-	shed      bool   // admission control shed this flight (stale or rejected)
-	peer      string // cluster node that filled the miss, if any
-	peerErr   string // failed peer-fill attempt that fell back to origin
-	fetchErr  string // origin failure behind a stale-if-error response
-	proxyTime time.Duration
+	shed      bool          // admission control shed this flight (stale or rejected)
+	peer      string        // cluster node that filled the miss, if any
+	peerErr   string        // failed peer-fill attempt that fell back to origin
+	fetchErr  string        // origin failure behind a stale-if-error response
+	proxyTime time.Duration // pipeline or derive time
 	err       error
 }
 
@@ -461,8 +464,6 @@ type Proxy struct {
 
 	flightMu sync.Mutex
 	flights  map[string]*flight
-
-	inFlight atomic.Int64
 
 	// adm is the overload controller (nil = admission disabled).
 	adm *admission
@@ -516,10 +517,6 @@ type Proxy struct {
 	hAttest      *telemetry.Histogram // quorum round latency per attested artifact
 }
 
-// connectionMemory is the modeled per-connection server memory (socket
-// buffers, HTTP state, worker stack) held for an in-flight request.
-const connectionMemory = 256 << 10
-
 // New creates a proxy in front of origin.
 func New(origin Origin, cfg Config) *Proxy {
 	if cfg.Node == "" {
@@ -527,9 +524,6 @@ func New(origin Origin, cfg Config) *Proxy {
 	}
 	if cfg.Pipeline == nil {
 		cfg.Pipeline = rewrite.NewPipeline()
-	}
-	if cfg.MemoryBudget > 0 && cfg.PagingPenaltyPerMB == 0 {
-		cfg.PagingPenaltyPerMB = 2 * time.Millisecond
 	}
 	if cfg.MaxQueue > 0 {
 		if cfg.MaxConcurrent <= 0 {
@@ -614,7 +608,6 @@ func New(origin Origin, cfg Config) *Proxy {
 		defer p.mu.Unlock()
 		return float64(p.cacheBytes)
 	})
-	p.reg.Gauge("inflight_bytes", func() float64 { return float64(p.inFlight.Load()) })
 	// The share of parsed Utf8 constants the lazy codec actually had to
 	// decode (process-wide): near 0 on pass-through traffic, rising only
 	// when filters touch names, descriptors, and attribute payloads.
@@ -643,9 +636,6 @@ func (p *Proxy) Breaker() *resilience.Breaker { return p.breaker }
 // Telemetry exposes the proxy's metric registry (mounted on /metrics by
 // the HTTP front end; the cluster node adds its peer counters here).
 func (p *Proxy) Telemetry() *telemetry.Registry { return p.reg }
-
-// Node returns the name this proxy uses in trace spans.
-func (p *Proxy) Node() string { return p.cfg.Node }
 
 // Health reports the shared versioned health schema: degraded while the
 // origin breaker is open (requests are being answered from stale cache
@@ -690,6 +680,17 @@ func (p *Proxy) Stats() Stats {
 		BytesOut:          p.cBytesOut.Load(),
 		ProxyTime:         p.hPipeline.Snapshot().Sum,
 		Breaker:           p.breaker.Counts(),
+	}
+}
+
+// Add accumulates o's counters into s, for fleet and replica-group
+// totals. Breaker is one proxy's breaker state and is left as is.
+func (s *Stats) Add(o Stats) {
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for i := 0; i < sv.NumField(); i++ {
+		if f := sv.Field(i); f.Kind() == reflect.Int64 {
+			f.SetInt(f.Int() + ov.Field(i).Int())
+		}
 	}
 }
 
@@ -740,11 +741,6 @@ type CacheEntry struct {
 	// survives warm pushes and handoffs (see cacheEntry.rejected).
 	Rejected bool `json:",omitempty"`
 }
-
-// CachedEntry is the old name of CacheEntry.
-//
-// Deprecated: use CacheEntry.
-type CachedEntry = CacheEntry
 
 // CacheSnapshot returns cached entries most-recently-used first —
 // recency is the proxy's hotness signal — stopping once the entries'
@@ -890,26 +886,12 @@ func (p *Proxy) Request(ctx context.Context, l Lookup) (Result, error) {
 func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, span *telemetry.SpanTimer, l Lookup) ([]byte, RequestInfo, error) {
 	key := l.Arch + "\x00" + l.Class
 
-	var staleData []byte // expired cache entry kept for stale-if-error
-	var staleAtt *attest.Attestation
-	var haveStale bool
+	var stale *resolution // expired cache entry kept for stale-if-error
 	if p.cfg.CacheEnabled {
-		data, att, fresh, prefetched, rejected, ok := p.memGet(key)
-		if !ok {
-			// Second level: the on-disk cache (survives proxy restarts).
-			// Only a fresh disk entry is promoted to memory; a stale one
-			// is kept solely as the stale-if-error fallback so it still
-			// gets revalidated on the next request.
-			if d, datt, diskFresh, hit := p.diskCacheGet(key); hit {
-				data, att, fresh, ok = d, datt, diskFresh, true
-				if diskFresh {
-					p.storeMem(key, d, datt, false)
-				}
-			}
-		}
+		data, att, fresh, prefetched, rejected, ok := p.cached(key)
 		if ok && fresh {
 			p.cCacheHits.Inc()
-			if a := p.cfg.AOT; a != nil && l.Arch == a.Arch {
+			if p.aotArch(l.Arch) {
 				// A resident compiled artifact: nobody compiles anything.
 				p.cCompileHits.Inc()
 			}
@@ -921,7 +903,7 @@ func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, span *telemetry.
 			return data, RequestInfo{CacheHit: true, Prefetched: prefetched, Rejected: rejected, Attestation: att}, nil
 		}
 		if ok {
-			staleData, staleAtt, haveStale = data, att, true
+			stale = &resolution{data: data, att: att, stale: true}
 		}
 	}
 
@@ -950,7 +932,7 @@ func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, span *telemetry.
 	if dl, ok := ctx.Deadline(); ok {
 		budget = time.Until(dl)
 	}
-	go p.runFlight(fctx, tr, f, key, l, staleData, staleAtt, haveStale, budget)
+	go p.runFlight(fctx, tr, f, key, l, stale, budget)
 	return p.awaitFlight(ctx, tr, span, key, f, l, true)
 }
 
@@ -972,31 +954,22 @@ func (p *Proxy) leaveFlight(key string, f *flight) {
 }
 
 // awaitFlight is the waiter path every request takes once a flight
-// exists for its key: hold connection memory (the client is a live
-// connection even while it waits), share the flight's result, and emit
-// this client's own audit record. The request that started the flight
+// exists for its key: share the flight's result and emit this client's
+// own audit record. The request that started the flight
 // (leader) waits without a span — the flight's own spans are already on
 // its trace; a follower's wait is a "queue.wait" span, because
 // coalescing trades duplicated work for queueing delay and the trace
 // shows exactly how much.
 func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, span *telemetry.SpanTimer, key string, f *flight, l Lookup, leader bool) ([]byte, RequestInfo, error) {
-	var wait *telemetry.SpanTimer
+	var wait *telemetry.SpanTimer // nil-safe: the leader waits unspanned
 	if !leader {
-		// The flight worker models its own connection memory; followers
-		// are additional live connections.
-		p.inFlight.Add(connectionMemory)
-		defer p.inFlight.Add(-connectionMemory)
 		wait = tr.StartSpan(p.cfg.Node, "queue.wait")
 	}
 	select {
 	case <-f.done:
-		if wait != nil {
-			wait.End()
-		}
+		wait.End()
 	case <-ctx.Done():
-		if wait != nil {
-			wait.End()
-		}
+		wait.End()
 		// This client gave up (disconnect or deadline); the flight
 		// continues for the others — unless this was the last waiter,
 		// in which case leaveFlight cancels the work.
@@ -1008,6 +981,10 @@ func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, span *tele
 		})
 		return nil, RequestInfo{Coalesced: !leader}, err
 	}
+	rec := RequestRecord{
+		Client: l.Client, Arch: l.Arch, Class: l.Class, Coalesced: !leader,
+		Shed: f.shed, Duration: span.Elapsed(),
+	}
 	if f.err != nil {
 		if !leader {
 			// The fetch error itself was counted once, on the flight;
@@ -1015,21 +992,14 @@ func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, span *tele
 			// waiters does not inflate fetch_errors_total by N+1.
 			p.cCoalescedFailures.Inc()
 		}
-		p.audit(RequestRecord{
-			Client: l.Client, Arch: l.Arch, Class: l.Class, Coalesced: !leader,
-			Shed: f.shed, FetchError: f.err.Error(), PeerError: f.peerErr,
-			Duration: span.Elapsed(),
-		})
+		rec.FetchError, rec.PeerError = f.err.Error(), f.peerErr
+		p.audit(rec)
 		return nil, RequestInfo{Coalesced: !leader, Shed: f.shed}, f.err
-	}
-	info := RequestInfo{
-		Coalesced: !leader, Rejected: f.rejected, Stale: f.stale,
-		Shed: f.shed, Peer: f.peer, Attestation: f.att,
 	}
 	// A follower shares bytes another request paid for — a cache hit in
 	// all but storage; so does any waiter served a stale entry from this
 	// node's own cache (stale-if-error or a shed onto the stale copy).
-	info.CacheHit = !leader || (f.stale && f.peer == "")
+	cacheHit := !leader || (f.stale && f.peer == "")
 	if !leader {
 		p.cCacheHits.Inc()
 		p.cCoalesced.Inc()
@@ -1038,31 +1008,28 @@ func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, span *tele
 		p.cStaleServed.Inc()
 	}
 	p.cBytesOut.Add(int64(len(f.data)))
-	rec := RequestRecord{
-		Client: l.Client, Arch: l.Arch, Class: l.Class, Bytes: len(f.data),
-		CacheHit: info.CacheHit, Coalesced: !leader, Rejected: f.rejected,
-		Stale: f.stale, Shed: f.shed, Peer: f.peer, Duration: span.Elapsed(),
-	}
+	rec.Bytes, rec.CacheHit, rec.Rejected, rec.Stale, rec.Peer = len(f.data), cacheHit, f.rejected, f.stale, f.peer
 	if leader {
 		// Flight-level detail rides the leader's record, as it did when
 		// the leader ran the fetch inline.
-		rec.PeerError = f.peerErr
-		rec.FetchError = f.fetchErr
-		rec.ProxyTime = f.proxyTime
+		rec.PeerError, rec.FetchError, rec.ProxyTime = f.peerErr, f.fetchErr, f.proxyTime
 	}
 	p.audit(rec)
-	return f.data, info, nil
+	return f.data, RequestInfo{
+		CacheHit: cacheHit, Coalesced: !leader, Rejected: f.rejected, Stale: f.stale,
+		Shed: f.shed, Peer: f.peer, Attestation: f.att,
+	}, nil
 }
 
 // runFlight is the miss path, run by one worker goroutine per flight on
-// a context detached from the clients: admission control, peer fill
-// (sharded cluster), origin fetch (deadline + retry + breaker), memory
-// model, pipeline, caching. The result is published into f for the
-// waiters, who emit their own per-request counters and audit records.
-// When the origin is unreachable and a stale cache entry exists, it is
-// served instead (stale-if-error). ctx is canceled only when every
-// waiter has left (leaveFlight).
-func (p *Proxy) runFlight(ctx context.Context, tr *telemetry.Trace, f *flight, key string, l Lookup, staleData []byte, staleAtt *attest.Attestation, haveStale bool, budget time.Duration) {
+// a context detached from the clients. Its steps run in a fixed order —
+// admission, peer fill (sharded cluster), AOT derive, origin fetch plus
+// pipeline — and the first that resolves the miss ends the chain; commit
+// then attests, caches and reports what this node built. The result is
+// published into f for the waiters, who emit their own per-request
+// counters and audit records. ctx is canceled only when every waiter
+// has left (leaveFlight).
+func (p *Proxy) runFlight(ctx context.Context, tr *telemetry.Trace, f *flight, key string, l Lookup, stale *resolution, budget time.Duration) {
 	defer func() {
 		// Unpublish before waking the waiters so a new request finds
 		// either the cached entry or no flight at all; leaveFlight may
@@ -1076,221 +1043,213 @@ func (p *Proxy) runFlight(ctx context.Context, tr *telemetry.Trace, f *flight, k
 		f.cancel()
 	}()
 
-	// Memory model: the flight holds connection state and transfer
-	// buffers for its whole lifetime (including the upstream fetch),
-	// plus the parsed class afterwards.
-	held := int64(connectionMemory)
-	p.inFlight.Add(held)
-	defer func() { p.inFlight.Add(-held) }()
-
-	// Admission: a flight is one unit of origin+pipeline work; cache
-	// hits and followers never reach this point. The controller may
-	// grant a slot, shed the flight onto its stale copy, or reject it.
-	if p.adm != nil {
-		wspan := tr.StartSpan(p.cfg.Node, "admission.wait")
-		outcome, aerr := p.adm.acquire(ctx, l.Client, haveStale, budget)
-		wspan.End()
-		switch outcome {
-		case admitStale:
-			f.data, f.att, f.stale, f.shed = staleData, staleAtt, true, true
-			p.touchStale(key)
-			return
-		case admitShed:
-			if errors.Is(aerr, ErrOverloaded) {
-				f.err, f.shed = aerr, true
-			} else {
-				// ctx expired while queued: every waiter left.
-				p.flightError(f, aerr)
-			}
-			return
-		}
-		defer p.adm.release()
+	r, done := p.admit(ctx, tr, key, l, stale, budget)
+	var peerErr string
+	if !done {
+		defer p.adm.release() // nil-safe when admission is off
+		r, done = p.peerFill(ctx, tr, l)
+		peerErr = r.peerErr
 	}
-
-	// Sharded cluster: ask the key's ring owner before the origin. A
-	// peer-served miss skips both the origin fetch and the pipeline run —
-	// the owner already paid for them once on behalf of the whole fleet.
-	if p.cfg.PeerFill != nil {
-		fill := tr.StartSpan(p.cfg.Node, "peer.fill")
-		res := p.cfg.PeerFill(ctx, l)
-		fill.End()
-		switch res.Outcome {
-		case PeerServed:
-			p.cPeerFetches.Inc()
-			p.cPeerHits.Inc()
-			if a := p.cfg.AOT; a != nil && l.Arch == a.Arch {
-				// The owner paid the compilation; this node serves it free.
-				p.cCompileHits.Inc()
-			}
-			if p.cfg.CacheEnabled && res.CacheLocal {
-				// Hot key: replicate the owner's copy into the local LRU
-				// (and disk cache) so this node stops round-tripping for it.
-				// The fill hook already verified res.Att against res.Data.
-				p.storeMem(key, res.Data, res.Att, res.Rejected)
-				p.diskCachePut(key, res.Data, res.Att)
-			}
-			f.data, f.att, f.rejected, f.stale, f.peer = res.Data, res.Att, res.Rejected, res.Stale, res.Peer
-			return
-		case PeerFailed:
-			// Owner down or unreachable: degrade to a local origin fetch.
-			// Sharing is lost for this key, availability is not.
-			p.cPeerFetches.Inc()
-			if res.Err != nil {
-				f.peerErr = res.Err.Error()
-			}
-		default: // PeerSelf: this node owns the key
-			p.cOwnerFetches.Inc()
-		}
+	if !done {
+		r, done = p.derive(tr, l)
 	}
-
-	// Shared AOT code cache: a miss for the compiled architecture whose
-	// base-architecture artifact is already resident is answered by
-	// compiling those bytes directly — the origin fetch and the full
-	// pipeline run were paid once, under the base key; this request adds
-	// only the (cheap, deterministic) derivation. Rejected bases are
-	// skipped: a rejection replacement is architecture-independent and
-	// the regular path reproduces it exactly.
-	if a := p.cfg.AOT; a != nil && a.Compile != nil && l.Arch == a.Arch {
-		if base, baseRejected, ok := p.peekEntry(a.BaseArch, l.Class); ok && !baseRejected {
-			dspan := tr.StartSpan(p.cfg.Node, "aot.derive")
-			out, derr := a.Compile(base)
-			f.proxyTime = dspan.End()
-			p.hPipeline.Observe(f.proxyTime)
-			if derr == nil {
-				p.cCompileMisses.Inc()
-				var att *attest.Attestation
-				if a.AttestCompile != nil {
-					aspan := tr.StartSpan(p.cfg.Node, "attest.compile")
-					sealed, aerr := a.AttestCompile(ctx, l.Arch, l.Class, base, out)
-					p.hAttest.Observe(aspan.End())
-					if aerr != nil {
-						p.cAttestFailures.Inc()
-						p.flightError(f, fmt.Errorf("proxy: attesting compiled %s: %w", l.Class, aerr))
-						return
-					}
-					att = sealed
-					p.cAttested.Inc()
-				}
-				if p.cfg.CacheEnabled {
-					p.storeMem(key, out, att, false)
-					p.diskCachePut(key, out, att)
-				}
-				if p.cfg.OnTransformed != nil {
-					p.cfg.OnTransformed(l.Arch, l.Class, out, att)
-				}
-				f.data, f.att = out, att
-				return
-			}
-			// A base artifact the compiler cannot consume degrades to the
-			// full path below; the origin fetch re-derives from scratch.
-			log.Printf("proxy: aot: deriving %s from cached %s artifact: %v", l.Class, a.BaseArch, derr)
-		}
+	if !done {
+		r = p.fromOrigin(ctx, tr, key, l, stale)
 	}
+	r.peerErr = peerErr
+	r = p.commit(ctx, tr, key, l, r)
+	if r.err != nil && !r.shed {
+		p.countFailure(f, r.err)
+	}
+	f.resolution = r
+}
 
+// admit asks the admission controller for a service slot: a flight is
+// one unit of miss work (cache hits and followers never reach this
+// point). The controller may grant the slot (the chain continues), shed
+// the flight onto its stale copy, or reject it.
+func (p *Proxy) admit(ctx context.Context, tr *telemetry.Trace, key string, l Lookup, stale *resolution, budget time.Duration) (resolution, bool) {
+	if p.adm == nil {
+		return resolution{}, false
+	}
+	span := tr.StartSpan(p.cfg.Node, "admission.wait")
+	outcome, err := p.adm.acquire(ctx, l.Client, stale != nil, budget)
+	span.End()
+	switch outcome {
+	case admitStale:
+		r := *stale
+		r.shed = true
+		p.touchStale(key)
+		return r, true
+	case admitShed:
+		// Anything but ErrOverloaded means ctx expired while queued:
+		// every waiter left, which is a failure, not a shed.
+		return resolution{err: err, shed: errors.Is(err, ErrOverloaded)}, true
+	}
+	return resolution{}, false
+}
+
+// peerFill asks the key's ring owner before the origin. A peer-served
+// miss skips both the origin fetch and the pipeline run — the owner
+// already paid for them once on behalf of the whole fleet. A failed hop
+// degrades to the local steps: sharing is lost for this key,
+// availability is not.
+func (p *Proxy) peerFill(ctx context.Context, tr *telemetry.Trace, l Lookup) (resolution, bool) {
+	if p.cfg.PeerFill == nil {
+		return resolution{}, false
+	}
+	span := tr.StartSpan(p.cfg.Node, "peer.fill")
+	res := p.cfg.PeerFill(ctx, l)
+	span.End()
+	switch res.Outcome {
+	case PeerServed:
+		p.cPeerFetches.Inc()
+		p.cPeerHits.Inc()
+		if p.aotArch(l.Arch) {
+			// The owner paid the compilation; this node serves it free.
+			p.cCompileHits.Inc()
+		}
+		// A hot key (CacheLocal) is kept in the local cache too, so this
+		// node stops round-tripping for it; the fill hook already
+		// verified res.Att against res.Data.
+		return resolution{
+			data: res.Data, att: res.Att, cache: res.CacheLocal,
+			rejected: res.Rejected, stale: res.Stale, peer: res.Peer,
+		}, true
+	case PeerFailed:
+		p.cPeerFetches.Inc()
+		var r resolution
+		if res.Err != nil {
+			r.peerErr = res.Err.Error()
+		}
+		return r, false
+	default: // PeerSelf: this node owns the key
+		p.cOwnerFetches.Inc()
+		return resolution{}, false
+	}
+}
+
+// derive is the shared AOT code cache: a miss for the compiled
+// architecture whose base-architecture artifact is already resident is
+// answered by compiling those bytes directly — the origin fetch and the
+// full pipeline run were paid once, under the base key; this request
+// adds only the (cheap, deterministic) derivation. Rejected bases are
+// skipped: a rejection replacement is architecture-independent and the
+// origin step reproduces it exactly.
+func (p *Proxy) derive(tr *telemetry.Trace, l Lookup) (resolution, bool) {
+	a := p.cfg.AOT
+	if a == nil || a.Compile == nil || l.Arch != a.Arch {
+		return resolution{}, false
+	}
+	base, _, rejected, ok := p.peek(a.BaseArch, l.Class)
+	if !ok || rejected {
+		return resolution{}, false
+	}
+	span := tr.StartSpan(p.cfg.Node, "aot.derive")
+	out, err := a.Compile(base)
+	r := resolution{data: out, built: true, in: base, fromBase: true, proxyTime: span.End()}
+	p.hPipeline.Observe(r.proxyTime)
+	if err != nil {
+		// A base artifact the compiler cannot consume degrades to the
+		// origin step, which re-derives from scratch.
+		log.Printf("proxy: aot: deriving %s from cached %s artifact: %v", l.Class, a.BaseArch, err)
+		return resolution{}, false
+	}
+	p.cCompileMisses.Inc()
+	return r, true
+}
+
+// fromOrigin is the last step: fetch the class from the origin
+// (deadline + retry + breaker) and run the pipeline over it. When the
+// origin is unreachable and a stale cache entry exists, it is served
+// instead (stale-if-error): freshness degrades, availability does not.
+func (p *Proxy) fromOrigin(ctx context.Context, tr *telemetry.Trace, key string, l Lookup, stale *resolution) resolution {
 	p.cOriginFetches.Inc()
-	fetch := tr.StartSpan(p.cfg.Node, "origin.fetch")
+	span := tr.StartSpan(p.cfg.Node, "origin.fetch")
 	var raw []byte
 	err := p.hop.Do(ctx, func(actx context.Context) error {
 		b, ferr := p.origin.Fetch(actx, l.Class)
-		if ferr != nil {
-			if errors.Is(ferr, ErrNotFound) {
-				// A definitive answer, not an outage: no retry, no
-				// breaker penalty, no stale fallback.
-				return resilience.Permanent(ferr)
-			}
-			return ferr
+		if errors.Is(ferr, ErrNotFound) {
+			// A definitive answer, not an outage: no retry, no breaker
+			// penalty, no stale fallback.
+			return resilience.Permanent(ferr)
 		}
 		raw = b
-		return nil
+		return ferr
 	})
-	p.hOriginFetch.Observe(fetch.End())
+	p.hOriginFetch.Observe(span.End())
 	if err != nil {
-		if haveStale && !errors.Is(err, ErrNotFound) {
-			// Degraded mode: the origin is down but we still hold the
-			// previous transformation. Freshness degrades; availability
-			// does not.
-			f.data, f.att, f.stale, f.fetchErr = staleData, staleAtt, true, err.Error()
+		if stale != nil && !errors.Is(err, ErrNotFound) {
+			r := *stale
+			r.fetchErr = err.Error()
 			p.touchStale(key)
-			return
+			return r
 		}
-		p.flightError(f, err)
-		return
+		return resolution{err: err}
 	}
 	p.cBytesIn.Add(int64(len(raw)))
-	extra := int64(len(raw)) * 4 // parsed form is a few times the wire size
-	held += extra
-	total := p.inFlight.Add(extra)
-	if p.cfg.MemoryBudget > 0 && total > p.cfg.MemoryBudget {
-		overMB := float64(total-p.cfg.MemoryBudget) / (1 << 20)
-		penalty := time.Duration(overMB * float64(p.cfg.PagingPenaltyPerMB))
-		if penalty > 0 {
-			time.Sleep(penalty)
-		}
-	}
 
-	pipe := tr.StartSpan(p.cfg.Node, "pipeline")
+	span = tr.StartSpan(p.cfg.Node, "pipeline")
 	rctx := rewrite.NewContext()
 	rctx.ClientID = l.Client
 	rctx.ClientArch = l.Arch
 	rctx.Trace = tr
 	rctx.Node = p.cfg.Node
-	out, perr := p.cfg.Pipeline.Process(raw, rctx)
-	rejected := false
-	if perr != nil {
-		// A verification (or other service) rejection becomes a
-		// replacement class that raises VerifyError on the client.
-		rejected = true
+	out, rejected, err := p.process(raw, rctx, l.Class)
+	r := resolution{data: out, built: true, in: raw, rejected: rejected, proxyTime: span.End(), err: err}
+	p.hPipeline.Observe(r.proxyTime)
+	if rejected {
 		p.cRejections.Inc()
-		repl, rerr := verifier.MakeErrorClass(l.Class, perr.Error())
-		if rerr != nil {
-			p.hPipeline.Observe(pipe.End())
-			p.flightError(f, fmt.Errorf("proxy: building replacement for %s: %v (original error: %w)", l.Class, rerr, perr))
-			return
-		}
-		out = repl
 	}
-	f.proxyTime = pipe.End()
-	p.hPipeline.Observe(f.proxyTime)
-	if a := p.cfg.AOT; a != nil && l.Arch == a.Arch && !rejected {
+	if err == nil && !rejected && p.aotArch(l.Arch) {
 		// Full pipeline run for the compiled architecture: the compile
 		// step ran inside it (no resident base artifact to derive from).
 		p.cCompileMisses.Inc()
 	}
-
-	// Quorum attestation: before the artifact is cached or served, the
-	// hook cross-checks the output digest against ring successors and
-	// seals the agreement. A hook error fails the flight — divergence
-	// means these bytes cannot be trusted, and no client may see them.
-	var att *attest.Attestation
-	if p.cfg.Attest != nil {
-		aspan := tr.StartSpan(p.cfg.Node, "attest.quorum")
-		a, aerr := p.cfg.Attest(ctx, l.Arch, l.Class, raw, out)
-		p.hAttest.Observe(aspan.End())
-		if aerr != nil {
-			p.cAttestFailures.Inc()
-			p.flightError(f, fmt.Errorf("proxy: attesting %s: %w", l.Class, aerr))
-			return
-		}
-		att = a
-		p.cAttested.Inc()
-	}
-
-	if p.cfg.CacheEnabled {
-		p.storeMem(key, out, att, rejected)
-		p.diskCachePut(key, out, att)
-	}
-	if p.cfg.OnTransformed != nil {
-		p.cfg.OnTransformed(l.Arch, l.Class, out, att)
-	}
-	f.data, f.att, f.rejected = out, att, rejected
+	return r
 }
 
-// flightError records a failed flight. A flight canceled because every
+// commit finishes a resolved flight. Bytes this node built are first
+// attested: the Attest hook cross-checks the output digest against ring
+// successors and seals the agreement, and a hook error fails the flight
+// — divergence means these bytes cannot be trusted, and no client may
+// see them. Built bytes (and a hot key's peer copy) are then cached in
+// memory and on disk, and built bytes are reported to OnTransformed for
+// replication. Stale, shed and failed resolutions pass through.
+func (p *Proxy) commit(ctx context.Context, tr *telemetry.Trace, key string, l Lookup, r resolution) resolution {
+	if r.err != nil || !(r.built || r.cache) {
+		return r
+	}
+	if r.built && p.cfg.Attest != nil {
+		name := "attest.quorum"
+		if r.fromBase {
+			name = "attest.compile"
+		}
+		span := tr.StartSpan(p.cfg.Node, name)
+		att, err := p.cfg.Attest(ctx, l.Arch, l.Class, r.in, r.data, r.fromBase)
+		p.hAttest.Observe(span.End())
+		if err != nil {
+			p.cAttestFailures.Inc()
+			return resolution{err: fmt.Errorf("proxy: attesting %s: %w", l.Class, err), peerErr: r.peerErr}
+		}
+		r.att = att
+		p.cAttested.Inc()
+	}
+	if p.cfg.CacheEnabled {
+		p.storeMem(key, r.data, r.att, r.rejected)
+		p.diskCachePut(key, r.data, r.att)
+	}
+	if r.built && p.cfg.OnTransformed != nil {
+		p.cfg.OnTransformed(l.Arch, l.Class, r.data, r.att)
+	}
+	return r
+}
+
+// countFailure counts a failed flight. A flight canceled because every
 // waiter already disconnected is an abandonment, not an origin failure:
 // nobody was refused service, so it gets its own counter instead of
 // inflating fetch_errors_total.
-func (p *Proxy) flightError(f *flight, err error) {
-	f.err = err
+func (p *Proxy) countFailure(f *flight, err error) {
 	p.flightMu.Lock()
 	abandoned := f.waiters == 0
 	p.flightMu.Unlock()
@@ -1299,6 +1258,26 @@ func (p *Proxy) flightError(f *flight, err error) {
 		return
 	}
 	p.cFetchErrors.Inc()
+}
+
+// aotArch reports whether arch is the AOT code cache's compiled
+// architecture.
+func (p *Proxy) aotArch(arch string) bool {
+	return p.cfg.AOT != nil && arch == p.cfg.AOT.Arch
+}
+
+// cached probes the memory cache, then the on-disk cache (which
+// survives proxy restarts). Only a fresh disk entry is promoted to
+// memory; a stale one is kept solely as the stale-if-error fallback so
+// it still gets revalidated on the next request.
+func (p *Proxy) cached(key string) (data []byte, att *attest.Attestation, fresh, prefetched, rejected, ok bool) {
+	if data, att, fresh, prefetched, rejected, ok = p.memGet(key); ok {
+		return data, att, fresh, prefetched, rejected, ok
+	}
+	if data, att, fresh, ok = p.diskCacheGet(key); ok && fresh {
+		p.storeMem(key, data, att, false)
+	}
+	return data, att, fresh, false, false, ok
 }
 
 // memGet looks up the in-memory cache; a hit refreshes LRU recency.
@@ -1331,41 +1310,28 @@ func (p *Proxy) memGet(key string) (data []byte, att *attest.Attestation, fresh,
 // hotness signal. Stale entries are not returned: pushing bytes due for
 // revalidation would spread staleness to peers.
 func (p *Proxy) Peek(arch, class string) (data []byte, att *attest.Attestation, ok bool) {
-	if !p.cfg.CacheEnabled {
-		return nil, nil, false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	el, ok := p.cache[arch+"\x00"+class]
-	if !ok {
-		return nil, nil, false
-	}
-	ent := el.Value.(*cacheEntry)
-	if p.cfg.CacheTTL > 0 && p.now().Sub(ent.storedAt) > p.cfg.CacheTTL {
-		return nil, nil, false
-	}
-	return ent.data, ent.att, true
+	data, att, _, ok = p.peek(arch, class)
+	return data, att, ok
 }
 
-// peekEntry is Peek plus the rejection flag, for the AOT derive path:
-// same no-recency, fresh-only semantics, but the caller also learns
-// whether the resident bytes are a rejection replacement (which must
-// not be fed to the compiler).
-func (p *Proxy) peekEntry(arch, class string) (data []byte, rejected, ok bool) {
+// peek is the read behind Peek; it also reports whether the resident
+// bytes are a rejection replacement, which the AOT derive step must not
+// feed to the compiler.
+func (p *Proxy) peek(arch, class string) (data []byte, att *attest.Attestation, rejected, ok bool) {
 	if !p.cfg.CacheEnabled {
-		return nil, false, false
+		return nil, nil, false, false
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	el, ok := p.cache[arch+"\x00"+class]
 	if !ok {
-		return nil, false, false
+		return nil, nil, false, false
 	}
 	ent := el.Value.(*cacheEntry)
 	if p.cfg.CacheTTL > 0 && p.now().Sub(ent.storedAt) > p.cfg.CacheTTL {
-		return nil, false, false
+		return nil, nil, false, false
 	}
-	return ent.data, ent.rejected, true
+	return ent.data, ent.att, ent.rejected, true
 }
 
 // touchStale refreshes the timestamp on a stale entry that was just
@@ -1393,8 +1359,9 @@ func (p *Proxy) storeMem(key string, data []byte, att *attest.Attestation, rejec
 	if p.cfg.CacheBudget > 0 && len(data) > p.cfg.CacheBudget {
 		// Caching this would evict everything and the entry still could
 		// not stay resident; serve it uncached instead.
+		_, class := splitKey(key)
 		log.Printf("proxy: cache: entry %q (%d bytes) exceeds cache budget (%d); not cached",
-			keyClass(key), len(data), p.cfg.CacheBudget)
+			class, len(data), p.cfg.CacheBudget)
 		return
 	}
 	if el, ok := p.cache[key]; ok {
@@ -1448,17 +1415,6 @@ func splitKey(key string) (arch, class string) {
 	return "", key
 }
 
-// keyClass extracts the class name from an arch\x00class cache key for
-// human-readable logs.
-func keyClass(key string) string {
-	for i := 0; i < len(key); i++ {
-		if key[i] == 0 {
-			return key[i+1:]
-		}
-	}
-	return key
-}
-
 func (p *Proxy) audit(r RequestRecord) {
 	if p.cfg.OnAudit != nil {
 		p.cfg.OnAudit(r)
@@ -1478,15 +1434,27 @@ func (p *Proxy) TransformDigest(ctx context.Context, arch, class string, raw []b
 	rctx.ClientArch = arch
 	rctx.Node = p.cfg.Node
 	rctx.Trace = telemetry.FromContext(ctx)
-	out, perr := p.cfg.Pipeline.Process(raw, rctx)
-	if perr != nil {
-		repl, rerr := verifier.MakeErrorClass(class, perr.Error())
-		if rerr != nil {
-			return "", fmt.Errorf("proxy: building replacement for %s: %v (original error: %w)", class, rerr, perr)
-		}
-		out = repl
+	out, _, err := p.process(raw, rctx, class)
+	if err != nil {
+		return "", err
 	}
 	return attest.Digest(out), nil
+}
+
+// process runs the pipeline over raw origin bytes. A verification (or
+// other service) rejection becomes a replacement class that raises
+// VerifyError on the client (§3.1); err is set only when even the
+// replacement cannot be built.
+func (p *Proxy) process(raw []byte, rctx *rewrite.Context, class string) (out []byte, rejected bool, err error) {
+	out, perr := p.cfg.Pipeline.Process(raw, rctx)
+	if perr == nil {
+		return out, false, nil
+	}
+	repl, rerr := verifier.MakeErrorClass(class, perr.Error())
+	if rerr != nil {
+		return nil, true, fmt.Errorf("proxy: building replacement for %s: %v (original error: %w)", class, rerr, perr)
+	}
+	return repl, true, nil
 }
 
 // CompileDigest derives the compiled artifact from already-transformed

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dvm/internal/eval"
 	"dvm/internal/proxy"
 	"dvm/internal/rewrite"
 	"dvm/internal/verifier"
@@ -13,7 +14,7 @@ import (
 
 func TestReplicaGroupRoundRobin(t *testing.T) {
 	org := origin(t)
-	g, err := proxy.NewReplicaGroup(org, 3, func(i int) proxy.Config {
+	g, err := eval.NewReplicaGroup(org, 3, func(i int) proxy.Config {
 		return proxy.Config{Pipeline: rewrite.NewPipeline(verifier.Filter()), CacheEnabled: true}
 	})
 	if err != nil {
@@ -48,7 +49,7 @@ func TestReplicaGroupFailover(t *testing.T) {
 	// Replica 0 fronts a broken origin; every request must fail over to
 	// the healthy replica regardless of which one round-robin picks.
 	broken := proxy.MapOrigin{}
-	group, err := proxy.NewReplicaGroupMixed(
+	group, err := eval.NewReplicaGroupMixed(
 		[]proxy.Origin{broken, org},
 		func(i int) proxy.Config { return proxy.Config{Pipeline: rewrite.NewPipeline()} })
 	if err != nil {
@@ -67,7 +68,7 @@ func TestReplicaGroupFailover(t *testing.T) {
 
 func TestReplicaGroupConcurrent(t *testing.T) {
 	org := origin(t)
-	g, err := proxy.NewReplicaGroup(org, 4, func(i int) proxy.Config {
+	g, err := eval.NewReplicaGroup(org, 4, func(i int) proxy.Config {
 		return proxy.Config{Pipeline: rewrite.NewPipeline(verifier.Filter()), CacheEnabled: true}
 	})
 	if err != nil {
@@ -99,7 +100,7 @@ func TestReplicaGroupConcurrent(t *testing.T) {
 }
 
 func TestReplicaGroupRejectsEmpty(t *testing.T) {
-	if _, err := proxy.NewReplicaGroup(origin(t), 0, func(int) proxy.Config { return proxy.Config{} }); err == nil {
+	if _, err := eval.NewReplicaGroup(origin(t), 0, func(int) proxy.Config { return proxy.Config{} }); err == nil {
 		t.Fatal("accepted zero replicas")
 	}
 }
