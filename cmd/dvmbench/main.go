@@ -32,14 +32,13 @@ func main() {
 	attestBench := flag.Bool("attest", false, "run the attestation quorum ablation (quorum 1 vs 2 vs 3 tax + Byzantine divergence detection)")
 	prefetchBench := flag.Bool("prefetch", false, "run the predictive-prefetch warm-vs-cold walk (2-node cluster, piggybacked successors, waste ledger)")
 	scale := flag.Int("scale", 1, "workload scale divisor (1 = paper scale)")
-	pipelineWorkers := flag.Int("pipeline-workers", 0, "static-service per-method fan-out (0 = GOMAXPROCS, 1 = sequential)")
 	benchPipeline := flag.String("bench-pipeline", "", "run the pipeline benchmark and write its JSON report to this path (e.g. BENCH_PIPELINE.json)")
 	benchIters := flag.Int("bench-iters", 200, "iterations per pipeline benchmark measurement")
 	benchBaseline := flag.String("bench-baseline", "", "recorded BENCH_PIPELINE.json to gate against; exits 1 on >20% regression in host-independent metrics")
 	flag.Parse()
 
 	if !*all && *figs == "" && !*applets && !*ablations && !*overload && !*churn && !*attestBench && !*prefetchBench && *benchPipeline == "" {
-		fmt.Fprintln(os.Stderr, "usage: dvmbench (-all | -fig N[,N...] | -applets | -ablations | -overload | -churn | -attest | -prefetch | -bench-pipeline FILE) [-scale N] [-pipeline-workers N]")
+		fmt.Fprintln(os.Stderr, "usage: dvmbench (-all | -fig N[,N...] | -applets | -ablations | -overload | -churn | -attest | -prefetch | -bench-pipeline FILE) [-scale N]")
 		os.Exit(2)
 	}
 	want := map[string]bool{}
@@ -108,15 +107,13 @@ func main() {
 			if *scale > 1 {
 				counts = []int{1, 10, 25, 50}
 			}
-			cfg := eval.DefaultFig10Config()
-			cfg.PipelineWorkers = *pipelineWorkers
-			_, text, err := eval.Fig10(counts, cfg)
+			_, text, err := eval.Fig10(counts, eval.DefaultFig10Config())
 			return text, err
 		})
 	}
 	if *benchPipeline != "" {
-		run("Pipeline benchmark (parse/encode codec + parallel static service)", func() (string, error) {
-			rep, text, err := eval.PipelineBench(*benchIters, nil)
+		run("Pipeline benchmark (parse/encode codec + static service)", func() (string, error) {
+			rep, text, err := eval.PipelineBench(*benchIters)
 			if err != nil {
 				return "", err
 			}
@@ -149,7 +146,6 @@ func main() {
 	if *overload {
 		run("Overload: open-loop load sweep, admission control on", func() (string, error) {
 			cfg := eval.DefaultOverloadConfig()
-			cfg.PipelineWorkers = *pipelineWorkers
 			if *scale > 1 {
 				cfg.Clients /= *scale
 				cfg.Duration /= time.Duration(*scale)

@@ -94,7 +94,6 @@ func (d dirOrigin) Fetch(_ context.Context, name string) ([]byte, error) {
 type options struct {
 	addr, originDir, policyPath, auditLog string
 	noCompile, noAuditFilter, drain       bool
-	pipelineWorkers                       int
 	statsInterval, readHeaderTimeout      time.Duration
 	idleTimeout, drainTimeout             time.Duration
 	// proxy is complete except for Pipeline and OnAudit, which main
@@ -146,7 +145,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.DurationVar(&o.readHeaderTimeout, "read-header-timeout", 5*time.Second, "bound on reading a request's headers (slowloris guard)")
 	fs.DurationVar(&o.idleTimeout, "idle-timeout", 2*time.Minute, "keep-alive idle connection timeout")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "how long in-flight requests get to finish on shutdown")
-	fs.IntVar(&o.pipelineWorkers, "pipeline-workers", 0, "static-service per-method fan-out (0 = GOMAXPROCS, 1 = sequential)")
 	fs.IntVar(&p.MaxQueue, "max-queue", 0, "admission control: max miss requests queued for a service slot (0 disables admission)")
 	fs.IntVar(&p.MaxConcurrent, "max-concurrent", 0, "admission control: max concurrent origin-fetch+pipeline flights (0 = 8 x GOMAXPROCS)")
 	fs.DurationVar(&p.QueueDeadline, "queue-deadline", 0, "admission control: max wait for a service slot before shedding (0 = 1s)")
@@ -182,7 +180,6 @@ func main() {
 	}
 
 	pipe := rewrite.NewPipeline(verifier.Filter())
-	pipe.SetWorkers(o.pipelineWorkers)
 	if o.policyPath != "" {
 		data, err := os.ReadFile(o.policyPath)
 		if err != nil {

@@ -61,7 +61,6 @@ func TestParseFlagsMapsEveryFlag(t *testing.T) {
 		{[]string{"-read-header-timeout=1s"}, func(o options) any { return o.readHeaderTimeout }, time.Second},
 		{[]string{"-idle-timeout=1m"}, func(o options) any { return o.idleTimeout }, time.Minute},
 		{[]string{"-drain-timeout=3s"}, func(o options) any { return o.drainTimeout }, 3 * time.Second},
-		{[]string{"-pipeline-workers=2"}, func(o options) any { return o.pipelineWorkers }, 2},
 		{[]string{"-max-queue=128"}, func(o options) any { return o.proxy.MaxQueue }, 128},
 		{[]string{"-max-concurrent=16"}, func(o options) any { return o.proxy.MaxConcurrent }, 16},
 		{[]string{"-queue-deadline=250ms"}, func(o options) any { return o.proxy.QueueDeadline }, 250 * time.Millisecond},

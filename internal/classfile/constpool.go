@@ -97,7 +97,6 @@ type ConstPool struct {
 	entries []Constant // entries[0] is a zero placeholder
 	index   map[poolKey]uint16
 	indexed bool // index covers all entries (built lazily after Parse)
-	frozen  bool // see Freeze
 }
 
 // poolKey is the comparable interning key for a Constant. A struct key
@@ -160,26 +159,19 @@ func (p *ConstPool) materialize(c *Constant) {
 	statUtf8Decoded.Add(1)
 }
 
-// Materialize eagerly decodes every lazy Utf8 entry. Lazy decoding
-// memoizes by writing into the pool, so any phase that hands the pool to
-// concurrent readers (the pipeline's per-method fan-out, the verifier's
-// phase 2–3 workers) must call this first.
-func (p *ConstPool) Materialize() {
+// ensureIndex builds the interning index on first use, decoding every
+// lazy Utf8 entry it keys on. Parsing defers both string decoding and
+// index construction; a class that no filter adds constants to never
+// pays for either.
+func (p *ConstPool) ensureIndex() {
+	if p.indexed {
+		return
+	}
 	for i := range p.entries {
 		if p.entries[i].lazy {
 			p.materialize(&p.entries[i])
 		}
 	}
-}
-
-// ensureIndex builds the interning index on first use. Parsing defers
-// both string decoding and index construction; a class that no filter
-// adds constants to never pays for either.
-func (p *ConstPool) ensureIndex() {
-	if p.indexed {
-		return
-	}
-	p.Materialize()
 	p.rebuildIndex()
 	p.indexed = true
 }
@@ -281,30 +273,9 @@ func (p *ConstPool) StringValue(idx uint16) (string, error) {
 	return p.Utf8(c.Ref1)
 }
 
-// Freeze marks the pool immutable (on=true) or mutable again (on=false).
-// While frozen, any Add* call that would need to grow the pool panics.
-// The rewrite pipeline freezes the pool around its per-method fan-out:
-// all constants a method transformation needs must be interned during the
-// filter's sequential Prepare step, which is what makes concurrent
-// TransformMethod calls race-free and the emitted pool deterministic.
-// Interning hits (the entry already exists) remain allowed while frozen.
-//
-// Freezing also materializes every lazy Utf8 string and builds the
-// interning index: both are memoized by writing into the pool, which
-// must not race with the concurrent readers the freeze protects.
-func (p *ConstPool) Freeze(on bool) {
-	if on {
-		p.ensureIndex()
-	}
-	p.frozen = on
-}
-
 // append adds a raw entry (no interning) and returns its index.
 // It is used by the parser, which must preserve on-disk indices.
 func (p *ConstPool) append(c Constant) (uint16, error) {
-	if p.frozen {
-		panic(fmt.Sprintf("classfile: constant pool mutated while frozen (adding %s); intern all constants in the filter's Prepare step", c.Tag))
-	}
 	idx := len(p.entries)
 	if c.Wide() {
 		if idx+1 > 0xFFFF {

@@ -24,7 +24,6 @@ func newParsePool(count int) *ConstPool {
 		p.index = make(map[poolKey]uint16, count)
 	}
 	p.indexed = false
-	p.frozen = false
 	return p
 }
 
@@ -47,6 +46,5 @@ func (cf *ClassFile) Release() {
 	p.entries = p.entries[:0]
 	clear(p.index)
 	p.indexed = false
-	p.frozen = false
 	poolScratch.Put(p)
 }

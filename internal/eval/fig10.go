@@ -79,9 +79,6 @@ type Fig10Config struct {
 	// sleeps (e.g. 0.001 turns 2.2 s into 2.2 ms). 0 disables upstream
 	// delay.
 	InternetScale float64
-	// PipelineWorkers bounds the static service's per-method fan-out
-	// (0 = GOMAXPROCS, 1 = sequential).
-	PipelineWorkers int
 }
 
 // DefaultFig10Config mirrors the paper's setup at a compressed
@@ -112,10 +109,8 @@ func Fig10(clientCounts []int, cfg Fig10Config) ([]Fig10Row, string, error) {
 	}
 	rows := make([]Fig10Row, 0, len(clientCounts))
 	for _, n := range clientCounts {
-		pipe := ServicePipeline(StandardPolicy(), false)
-		pipe.SetWorkers(cfg.PipelineWorkers)
 		p := proxy.New(pagingOrigin{delayed}, proxy.Config{
-			Pipeline:     pipe,
+			Pipeline:     ServicePipeline(StandardPolicy(), false),
 			CacheEnabled: false, // worst case, per the paper
 		})
 		totalBytes, fetches, _, elapsed, err := appletLoad(n, cfg, hostMemory(cfg.MemoryBudget, p.Request))

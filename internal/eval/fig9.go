@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"dvm/internal/classfile"
@@ -250,63 +249,34 @@ func Fig9(iterations int) ([]Fig9Row, string, error) {
 		[]string{"Operation", "Baseline(us)", "JDK check(us)", "JDK ovh(us)", "DVM download(ms)", "DVM check(us)", "DVM ovh(us)"},
 		cells)
 
-	// Reproduction extension: per-filter static-service cost with the
-	// parallel per-method fan-out (workers=1 vs GOMAXPROCS).
-	workers, err := fig9FilterWorkers(policy)
+	// Reproduction extension: per-filter static-service cost.
+	filters, err := fig9FilterCost(policy)
 	if err != nil {
 		return nil, "", err
 	}
-	return rows, text + "\nStatic service per-filter cost (parallel fan-out):\n" + workers, nil
+	return rows, text + "\nStatic service per-filter cost:\n" + filters, nil
 }
 
-// fig9FilterWorkers times each pipeline filter over a workload class at
-// workers=1 and workers=GOMAXPROCS and tables the per-filter speedup.
-// On a single-core host the column shows ~1.0x; the figure exists so a
-// multicore reproduction records its parallel gain per filter.
-func fig9FilterWorkers(policy *security.Policy) (string, error) {
-	data, err := pipelineBenchClass()
+// fig9FilterCost times each pipeline filter over the benchmark workload
+// class and tables its mean µs per run.
+func fig9FilterCost(policy *security.Policy) (string, error) {
+	_, data, err := pipelineBenchClass()
 	if err != nil {
 		return "", err
 	}
 	const reps = 20
-	timings := func(workerCount int) (map[string]time.Duration, []string, error) {
-		pipe := ServicePipeline(policy, false)
-		pipe.SetWorkers(workerCount)
-		ctx := rewrite.NewContext()
-		for i := 0; i < reps; i++ {
-			if _, err := pipe.Process(data, ctx); err != nil {
-				return nil, nil, err
-			}
+	pipe := ServicePipeline(policy, false)
+	ctx := rewrite.NewContext()
+	for i := 0; i < reps; i++ {
+		if _, err := pipe.Process(data, ctx); err != nil {
+			return "", err
 		}
-		var order []string
-		for _, f := range pipe.Filters() {
-			order = append(order, f.Name())
-		}
-		for k := range ctx.FilterTimings {
-			ctx.FilterTimings[k] /= reps
-		}
-		return ctx.FilterTimings, order, nil
-	}
-	seq, order, err := timings(1)
-	if err != nil {
-		return "", err
-	}
-	maxWorkers := runtime.GOMAXPROCS(0)
-	par, _, err := timings(maxWorkers)
-	if err != nil {
-		return "", err
 	}
 	var cells [][]string
-	for _, name := range order {
-		speedup := "1.00x"
-		if par[name] > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(seq[name])/float64(par[name]))
-		}
-		cells = append(cells, []string{name, us(seq[name]), us(par[name]), speedup})
+	for _, f := range pipe.Filters() {
+		cells = append(cells, []string{f.Name(), us(ctx.FilterTimings[f.Name()] / reps)})
 	}
-	return table(
-		[]string{"Filter", "workers=1(us)", fmt.Sprintf("workers=%d(us)", maxWorkers), "Speedup"},
-		cells), nil
+	return table([]string{"Filter", "us/run"}, cells), nil
 }
 
 func us(d time.Duration) string {

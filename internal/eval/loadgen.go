@@ -70,11 +70,10 @@ type OverloadConfig struct {
 
 	// Proxy under test. MaxQueue 0 or ShedPolicy "none" is the
 	// unprotected baseline.
-	MaxQueue        int
-	MaxConcurrent   int
-	QueueDeadline   time.Duration
-	ShedPolicy      string
-	PipelineWorkers int
+	MaxQueue      int
+	MaxConcurrent int
+	QueueDeadline time.Duration
+	ShedPolicy    string
 }
 
 // DefaultOverloadConfig is sized so the full multiple sweep finishes in
@@ -233,10 +232,8 @@ func (b *boundedOrigin) Fetch(ctx context.Context, name string) ([]byte, error) 
 
 // overloadProxy builds the proxy under test for one load point.
 func overloadProxy(origin proxy.Origin, cfg OverloadConfig) *proxy.Proxy {
-	pipe := ServicePipeline(StandardPolicy(), false)
-	pipe.SetWorkers(cfg.PipelineWorkers)
 	return proxy.New(newBoundedOrigin(origin, cfg.OriginConns, cfg.OriginDelay), proxy.Config{
-		Pipeline:      pipe,
+		Pipeline:      ServicePipeline(StandardPolicy(), false),
 		CacheEnabled:  false, // worst case, as in Figure 10
 		MaxQueue:      cfg.MaxQueue,
 		MaxConcurrent: cfg.MaxConcurrent,

@@ -11,24 +11,16 @@ import (
 	"dvm/internal/workload"
 )
 
-// PipelineBenchRow is one worker-count measurement of the full static
-// service (verifier + security + monitor) over a workload class.
-type PipelineBenchRow struct {
-	Workers     int     `json:"workers"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// Speedup is NsPerOp(workers=1) / NsPerOp(this row). On a
-	// single-core host it hovers near 1.0 regardless of workers; on a
-	// multicore proxy it approaches min(workers, methods).
-	Speedup float64 `json:"speedup_vs_workers_1"`
-}
-
 // PipelineBenchReport is the serialized form of BENCH_PIPELINE.json: the
-// codec hot-path costs plus the pipeline fan-out measurements, recorded
-// per PR so the perf trajectory is trackable.
+// codec hot-path costs plus the full static service (verifier + security
+// + monitor) over one workload class, recorded per change so the perf
+// trajectory is trackable.
 type PipelineBenchReport struct {
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	Iterations        int     `json:"iterations"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+	Iterations int `json:"iterations"`
+	// ClassName/ClassBytes identify the measured class; reports of
+	// different classes are not comparable.
+	ClassName         string  `json:"class_name"`
 	ClassBytes        int     `json:"class_bytes"`
 	ParseNsPerOp      float64 `json:"parse_ns_per_op"`
 	ParseAllocsPerOp  float64 `json:"parse_allocs_per_op"`
@@ -42,8 +34,10 @@ type PipelineBenchReport struct {
 	// PassAttrsDecodedPerOp counts attribute payloads the pass-through
 	// leg materialized per op (classfile.CodecStats delta) — a property
 	// of the code, 0 when laziness holds end to end.
-	PassAttrsDecodedPerOp float64            `json:"pass_attrs_decoded_per_op"`
-	Pipeline              []PipelineBenchRow `json:"pipeline"`
+	PassAttrsDecodedPerOp float64 `json:"pass_attrs_decoded_per_op"`
+	// Pipeline*PerOp measure one Process call of the static service.
+	PipelineNsPerOp     float64 `json:"pipeline_ns_per_op"`
+	PipelineAllocsPerOp float64 `json:"pipeline_allocs_per_op"`
 }
 
 // benchLoop times fn over iterations and reports per-op nanoseconds and
@@ -87,50 +81,44 @@ func benchLoop(iterations int, fn func() error) (nsPerOp, allocsPerOp float64, e
 	return batchNs[batches/2], float64(after.Mallocs-before.Mallocs) / float64(total), nil
 }
 
-// pipelineBenchClass returns one representative serialized workload
-// class (the same shape the verifier benchmarks use).
-func pipelineBenchClass() ([]byte, error) {
+// pipelineBenchClass returns one representative workload class (the
+// same shape the verifier benchmarks use): the first non-main class by
+// sorted name, so every run measures the same bytes.
+func pipelineBenchClass() (string, []byte, error) {
 	spec := workload.Benchmarks()[0]
 	spec.Classes = 3
 	spec.TargetBytes = 32 * 1024
 	app, err := workload.Generate(spec)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	for name, data := range app.Classes {
+	names := make([]string, 0, len(app.Classes))
+	for name := range app.Classes {
 		if name != spec.MainClass() {
-			return data, nil
+			names = append(names, name)
 		}
 	}
-	return nil, fmt.Errorf("eval: workload generated no non-main class")
+	if len(names) == 0 {
+		return "", nil, fmt.Errorf("eval: workload generated no non-main class")
+	}
+	sort.Strings(names)
+	return names[0], app.Classes[names[0]], nil
 }
 
 // PipelineBench measures the parse/encode codec and the full static
-// service at each worker count, returning the report and a rendered
-// table. workerCounts defaults to {1, 2, 4, GOMAXPROCS}.
-func PipelineBench(iterations int, workerCounts []int) (*PipelineBenchReport, string, error) {
+// service, returning the report and a rendered table.
+func PipelineBench(iterations int) (*PipelineBenchReport, string, error) {
 	if iterations <= 0 {
 		iterations = 200
 	}
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	}
-	seen := make(map[int]bool, len(workerCounts))
-	counts := workerCounts[:0:0]
-	for _, w := range workerCounts {
-		if !seen[w] {
-			seen[w] = true
-			counts = append(counts, w)
-		}
-	}
-	workerCounts = counts
-	data, err := pipelineBenchClass()
+	name, data, err := pipelineBenchClass()
 	if err != nil {
 		return nil, "", err
 	}
 	rep := &PipelineBenchReport{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Iterations: iterations,
+		ClassName:  name,
 		ClassBytes: len(data),
 	}
 
@@ -178,41 +166,23 @@ func PipelineBench(iterations int, workerCounts []int) (*PipelineBenchReport, st
 	statsAfter := classfile.CodecStats()
 	rep.PassAttrsDecodedPerOp = float64(statsAfter.AttrsDecoded-statsBefore.AttrsDecoded) / float64(iterations)
 
-	policy := StandardPolicy()
-	var base float64
-	for _, w := range workerCounts {
-		pipe := ServicePipeline(policy, false)
-		pipe.SetWorkers(w)
-		ns, allocs, err := benchLoop(iterations, func() error {
-			_, err := pipe.Process(data, rewrite.NewContext())
-			return err
-		})
-		if err != nil {
-			return nil, "", err
-		}
-		row := PipelineBenchRow{Workers: w, NsPerOp: ns, AllocsPerOp: allocs, Speedup: 1}
-		if w == 1 {
-			base = ns
-		}
-		if base > 0 {
-			row.Speedup = base / ns
-		}
-		rep.Pipeline = append(rep.Pipeline, row)
+	pipe := ServicePipeline(StandardPolicy(), false)
+	rep.PipelineNsPerOp, rep.PipelineAllocsPerOp, err = benchLoop(iterations, func() error {
+		_, err := pipe.Process(data, rewrite.NewContext())
+		return err
+	})
+	if err != nil {
+		return nil, "", err
 	}
 
-	var cells [][]string
-	cells = append(cells,
-		[]string{"parse", "-", fmt.Sprintf("%.0f", rep.ParseNsPerOp), fmt.Sprintf("%.1f", rep.ParseAllocsPerOp), "-", "-"},
-		[]string{"encode", "-", fmt.Sprintf("%.0f", rep.EncodeNsPerOp), fmt.Sprintf("%.1f", rep.EncodeAllocsPerOp), "-", "-"},
-		[]string{"pass-through", "-", fmt.Sprintf("%.0f", rep.PassNsPerOp), fmt.Sprintf("%.1f", rep.PassAllocsPerOp), fmt.Sprintf("%.2f", rep.PassAttrsDecodedPerOp), "-"})
-	for _, r := range rep.Pipeline {
-		cells = append(cells, []string{
-			"pipeline", fmt.Sprintf("%d", r.Workers),
-			fmt.Sprintf("%.0f", r.NsPerOp), fmt.Sprintf("%.1f", r.AllocsPerOp),
-			"-", fmt.Sprintf("%.2fx", r.Speedup),
+	text := fmt.Sprintf("class %s (%d bytes)\n", rep.ClassName, rep.ClassBytes) + table(
+		[]string{"Stage", "ns/op", "allocs/op", "attrs-decoded/op"},
+		[][]string{
+			{"parse", fmt.Sprintf("%.0f", rep.ParseNsPerOp), fmt.Sprintf("%.1f", rep.ParseAllocsPerOp), "-"},
+			{"encode", fmt.Sprintf("%.0f", rep.EncodeNsPerOp), fmt.Sprintf("%.1f", rep.EncodeAllocsPerOp), "-"},
+			{"pass-through", fmt.Sprintf("%.0f", rep.PassNsPerOp), fmt.Sprintf("%.1f", rep.PassAllocsPerOp), fmt.Sprintf("%.2f", rep.PassAttrsDecodedPerOp)},
+			{"pipeline", fmt.Sprintf("%.0f", rep.PipelineNsPerOp), fmt.Sprintf("%.1f", rep.PipelineAllocsPerOp), "-"},
 		})
-	}
-	text := table([]string{"Stage", "Workers", "ns/op", "allocs/op", "attrs-decoded/op", "Speedup"}, cells)
 	return rep, text, nil
 }
 
@@ -271,20 +241,19 @@ func ComparePipelineBench(baseline, current *PipelineBenchReport, tol float64) [
 				fmt.Sprintf("pass-through: %.2f attrs decoded/op vs baseline %.2f (laziness regression)", cur, base))
 		}
 	}
-	baseRows := make(map[int]PipelineBenchRow, len(baseline.Pipeline))
-	for _, r := range baseline.Pipeline {
-		baseRows[r.Workers] = r
-	}
-	for _, cur := range current.Pipeline {
-		base, ok := baseRows[cur.Workers]
-		if !ok {
-			continue
-		}
-		allocGate(fmt.Sprintf("pipeline(workers=%d)", cur.Workers), base.AllocsPerOp, cur.AllocsPerOp)
-		br, cr := ratio(baseline, base.NsPerOp), ratio(current, cur.NsPerOp)
-		if br > 0 && cr > br*(1+nsTol) {
+	// A baseline without a pipeline leg, or of another class, cannot
+	// vouch for this run's pipeline: report it rather than pass.
+	switch {
+	case baseline.PipelineNsPerOp <= 0:
+		regressions = append(regressions, "pipeline: baseline has no pipeline_ns_per_op; re-record it")
+	case baseline.ClassName != current.ClassName:
+		regressions = append(regressions,
+			fmt.Sprintf("pipeline: baseline measured class %q, this run %q; re-record it", baseline.ClassName, current.ClassName))
+	default:
+		allocGate("pipeline", baseline.PipelineAllocsPerOp, current.PipelineAllocsPerOp)
+		if br, cr := ratio(baseline, baseline.PipelineNsPerOp), ratio(current, current.PipelineNsPerOp); br > 0 && cr > br*(1+nsTol) {
 			regressions = append(regressions,
-				fmt.Sprintf("pipeline(workers=%d): %.2fx parse cost vs baseline %.2fx (+%.0f%%)", cur.Workers, cr, br, (cr/br-1)*100))
+				fmt.Sprintf("pipeline: %.2fx parse cost vs baseline %.2fx (+%.0f%%)", cr, br, (cr/br-1)*100))
 		}
 	}
 	return regressions

@@ -1,4 +1,4 @@
-package proxy_test
+package eval_test
 
 import (
 	"context"
@@ -6,11 +6,36 @@ import (
 	"sync"
 	"testing"
 
+	"dvm/internal/classfile"
+	"dvm/internal/classgen"
 	"dvm/internal/eval"
 	"dvm/internal/proxy"
 	"dvm/internal/rewrite"
 	"dvm/internal/verifier"
 )
+
+// origin serves a two-class app: app/Main calls app/Dep.val.
+func origin(t *testing.T) proxy.MapOrigin {
+	t.Helper()
+	mn := classgen.NewClass("app/Main", "java/lang/Object")
+	run := mn.Method(classfile.AccPublic|classfile.AccStatic, "run", "()I")
+	run.InvokeStatic("app/Dep", "val", "()I")
+	run.IConst(2).IMul()
+	run.IReturn()
+	dep := classgen.NewClass("app/Dep", "java/lang/Object")
+	val := dep.Method(classfile.AccPublic|classfile.AccStatic, "val", "()I")
+	val.IConst(21).IReturn()
+
+	mb, err := mn.BuildBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := dep.BuildBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return proxy.MapOrigin{"app/Main": mb, "app/Dep": db}
+}
 
 func TestReplicaGroupRoundRobin(t *testing.T) {
 	org := origin(t)

@@ -32,41 +32,22 @@ const (
 // Filter returns the static half of the remote monitoring service:
 // a pipeline filter that rewrites applications to invoke the auditing
 // (and optionally profiling) dynamic components at method and
-// constructor boundaries. It implements rewrite.MethodFilter: Prepare
-// interns every constant and appends the first-use guard fields in
-// method-table order (keeping output deterministic), and the per-method
-// insertions then run concurrently on the pipeline's worker pool.
+// constructor boundaries.
 func Filter(cfg Config) rewrite.Filter {
 	return &auditFilter{cfg: cfg}
 }
 
 type auditFilter struct{ cfg Config }
 
-// auditPlan holds the pre-built snippets for one method. Snippets are
-// constructed against the pool during Prepare; replaying them in
-// TransformMethod touches the pool read-only.
-type auditPlan struct {
-	fu    []bytecode.Inst
-	enter []bytecode.Inst
-	exit  []bytecode.Inst
-	sites int
-}
-
-const auditPlanNote = "monitor.plan"
-
 func (f *auditFilter) Name() string { return "monitor" }
 
-// Transform implements rewrite.Filter for standalone use; in a pipeline
-// the MethodFilter path is taken instead.
+// Transform implements rewrite.Filter: one pass over the methods in
+// table order, each decoded once, instrumented and committed. First-use
+// guard fields are appended in the same order, so output is
+// deterministic.
 func (f *auditFilter) Transform(cf *classfile.ClassFile, ctx *rewrite.Context) error {
-	return rewrite.ApplyMethodFilter(f, cf, ctx)
-}
-
-// Prepare implements rewrite.MethodFilter: all pool interning and field
-// appends happen here, sequentially, in method-table order.
-func (f *auditFilter) Prepare(cf *classfile.ClassFile, ctx *rewrite.Context) error {
 	cfg := f.cfg
-	plans := make(map[*classfile.Member]*auditPlan)
+	ctx.AddIntNote(NoteAuditSites, 0)
 	profIdx := 0
 	for _, m := range cf.Methods {
 		name := cf.MemberName(m)
@@ -80,7 +61,7 @@ func (f *auditFilter) Prepare(cf *classfile.ClassFile, ctx *rewrite.Context) err
 		if ed == nil {
 			continue
 		}
-		plan := &auditPlan{}
+		sites := 0
 		if cfg.FirstUse {
 			guard := "dvm$fu$" + strconv.Itoa(profIdx)
 			profIdx++
@@ -97,8 +78,10 @@ func (f *auditFilter) Prepare(cf *classfile.ClassFile, ctx *rewrite.Context) err
 			sn.LdcString(cf.Name()).LdcString(name).LdcString(cf.MemberDescriptor(m))
 			sn.InvokeStatic("dvm/Profile", "firstUse",
 				"(Ljava/lang/String;Ljava/lang/String;Ljava/lang/String;)V")
-			plan.fu = sn.Insts()
-			plan.sites++
+			if err := ed.InsertEntry(sn.Insts()); err != nil {
+				return err
+			}
+			sites++
 		}
 		if cfg.Methods {
 			enter := rewrite.NewSnippet(cf.Pool)
@@ -107,49 +90,22 @@ func (f *auditFilter) Prepare(cf *classfile.ClassFile, ctx *rewrite.Context) err
 			exit := rewrite.NewSnippet(cf.Pool)
 			exit.LdcString(cf.Name()).LdcString(name)
 			exit.InvokeStatic("dvm/Audit", "exit", "(Ljava/lang/String;Ljava/lang/String;)V")
-			plan.enter = enter.Insts()
-			plan.exit = exit.Insts()
-			plan.sites += 2
+			if err := ed.InsertBeforeReturns(exit.Insts()); err != nil {
+				return err
+			}
+			if err := ed.InsertEntry(enter.Insts()); err != nil {
+				return err
+			}
+			sites += 2
 		}
-		if plan.sites > 0 {
-			plans[m] = plan
+		if sites == 0 {
+			continue
 		}
-	}
-	ctx.SetNote(auditPlanNote, plans)
-	ctx.AddIntNote(NoteAuditSites, 0)
-	return nil
-}
-
-// TransformMethod implements rewrite.MethodFilter; safe to call
-// concurrently for distinct methods (pool reads + ctx accessors only).
-func (f *auditFilter) TransformMethod(cf *classfile.ClassFile, m *classfile.Member, ctx *rewrite.Context) error {
-	v, _ := ctx.Note(auditPlanNote)
-	plans, _ := v.(map[*classfile.Member]*auditPlan)
-	plan := plans[m]
-	if plan == nil {
-		return nil
-	}
-	ed, err := rewrite.EditMethod(cf, m)
-	if err != nil || ed == nil {
-		return err
-	}
-	if plan.fu != nil {
-		if err := ed.InsertEntry(plan.fu); err != nil {
+		if err := ed.Commit(); err != nil {
 			return err
 		}
+		ctx.AddIntNote(NoteAuditSites, sites)
 	}
-	if plan.enter != nil {
-		if err := ed.InsertBeforeReturns(plan.exit); err != nil {
-			return err
-		}
-		if err := ed.InsertEntry(plan.enter); err != nil {
-			return err
-		}
-	}
-	if err := ed.Commit(); err != nil {
-		return err
-	}
-	ctx.AddIntNote(NoteAuditSites, plan.sites)
 	return nil
 }
 

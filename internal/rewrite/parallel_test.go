@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"dvm/internal/classfile"
@@ -31,70 +31,76 @@ func servicePlainClasses(t *testing.T) map[string][]byte {
 	return app.Classes
 }
 
-func fullPipeline(workers int) *rewrite.Pipeline {
-	p := rewrite.NewPipeline(
+func fullPipeline() *rewrite.Pipeline {
+	return rewrite.NewPipeline(
 		verifier.Filter(),
 		security.Filter(eval.StandardPolicy()),
 		monitor.Filter(monitor.Config{Methods: true, FirstUse: true, Skip: monitor.SkipInitializers}),
 	)
-	p.SetWorkers(workers)
-	return p
 }
 
-// TestPipelineParallelByteIdentical is the tentpole determinism test for
-// the rewrite side: the full static service (verifier + security +
-// monitor, all with per-method fan-out) must emit byte-identical classes
-// and identical notes at any worker count.
+// concurrently runs fn(i) for i in [0,n) on n goroutines and waits.
+func concurrently(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+type pipelineRun struct {
+	out   []byte
+	notes map[string]any
+	err   error
+}
+
+// TestPipelineParallelByteIdentical is the determinism test for the
+// rewrite side under the proxy's concurrency model: one pipeline value
+// is shared by every in-flight request, so the full static service
+// (verifier + security + monitor) run from several goroutines at once
+// must emit the same bytes and notes as a lone sequential run.
 func TestPipelineParallelByteIdentical(t *testing.T) {
-	for name, data := range servicePlainClasses(t) {
+	classes := servicePlainClasses(t)
+	p := fullPipeline()
+	for name, data := range classes {
 		seqCtx := rewrite.NewContext()
-		seqOut, err := fullPipeline(1).Process(data, seqCtx)
+		seqOut, err := p.Process(data, seqCtx)
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", name, err)
 		}
-		for _, workers := range []int{2, 4, 8} {
-			parCtx := rewrite.NewContext()
-			parOut, err := fullPipeline(workers).Process(data, parCtx)
-			if err != nil {
-				t.Fatalf("%s: workers=%d: %v", name, workers, err)
-			}
-			if !bytes.Equal(parOut, seqOut) {
-				t.Errorf("%s: workers=%d output differs from sequential (%d vs %d bytes)",
-					name, workers, len(parOut), len(seqOut))
-			}
-			for _, note := range []string{security.NoteChecksInserted, monitor.NoteAuditSites} {
-				if parCtx.Notes[note] != seqCtx.Notes[note] {
-					t.Errorf("%s: workers=%d note %s = %v, sequential %v",
-						name, workers, note, parCtx.Notes[note], seqCtx.Notes[note])
+		for _, goroutines := range []int{2, 4} {
+			runs := make([]pipelineRun, goroutines)
+			concurrently(goroutines, func(i int) {
+				ctx := rewrite.NewContext()
+				out, err := p.Process(data, ctx)
+				runs[i] = pipelineRun{out: out, notes: ctx.Notes, err: err}
+			})
+			for i, r := range runs {
+				if r.err != nil {
+					t.Fatalf("%s: goroutines=%d run %d: %v", name, goroutines, i, r.err)
 				}
-			}
-			pc, _ := parCtx.Note(verifier.NoteCensus)
-			sc, _ := seqCtx.Note(verifier.NoteCensus)
-			if *pc.(*verifier.Census) != *sc.(*verifier.Census) {
-				t.Errorf("%s: workers=%d census diverges", name, workers)
+				if !bytes.Equal(r.out, seqOut) {
+					t.Errorf("%s: goroutines=%d run %d output differs from sequential (%d vs %d bytes)",
+						name, goroutines, i, len(r.out), len(seqOut))
+				}
+				for _, note := range []string{security.NoteChecksInserted, monitor.NoteAuditSites} {
+					if r.notes[note] != seqCtx.Notes[note] {
+						t.Errorf("%s: goroutines=%d run %d note %s = %v, sequential %v",
+							name, goroutines, i, note, r.notes[note], seqCtx.Notes[note])
+					}
+				}
+				pc, _ := r.notes[verifier.NoteCensus].(*verifier.Census)
+				sc, _ := seqCtx.Notes[verifier.NoteCensus].(*verifier.Census)
+				if pc == nil || sc == nil || *pc != *sc {
+					t.Errorf("%s: goroutines=%d run %d census diverges", name, goroutines, i)
+				}
 			}
 		}
 	}
-}
-
-// countFilter is a per-method filter that only bumps note counters —
-// the -race regression subject for concurrent Notes/FilterTimings
-// publication over a many-method class.
-type countFilter struct{ calls atomic.Int64 }
-
-func (f *countFilter) Name() string { return "count" }
-func (f *countFilter) Transform(cf *classfile.ClassFile, ctx *rewrite.Context) error {
-	return rewrite.ApplyMethodFilter(f, cf, ctx)
-}
-func (f *countFilter) Prepare(cf *classfile.ClassFile, ctx *rewrite.Context) error {
-	ctx.AddIntNote("count.methods", 0)
-	return nil
-}
-func (f *countFilter) TransformMethod(cf *classfile.ClassFile, m *classfile.Member, ctx *rewrite.Context) error {
-	f.calls.Add(1)
-	ctx.AddIntNote("count.methods", 1)
-	ctx.SetNote("count.last", cf.MemberName(m))
-	return nil
 }
 
 // manyMethodClass builds a class with n trivial static methods.
@@ -113,89 +119,84 @@ func manyMethodClass(t *testing.T, n int) []byte {
 	return data
 }
 
-// TestConcurrentNotePublication fans a note-heavy per-method filter over
-// a 96-method class; run under -race this is the regression test for the
-// Context locking.
-func TestConcurrentNotePublication(t *testing.T) {
-	data := manyMethodClass(t, 96)
-	f := &countFilter{}
-	p := rewrite.NewPipeline(f)
-	p.SetWorkers(8)
-	ctx := rewrite.NewContext()
-	if _, err := p.Process(data, ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.calls.Load(); got != 96 {
-		t.Fatalf("TransformMethod ran %d times, want 96", got)
-	}
-	if got := ctx.Notes["count.methods"]; got != 96 {
-		t.Fatalf("count.methods note = %v, want 96", got)
-	}
-	if ctx.FilterTimings["count"] < 0 {
-		t.Fatal("missing filter timing")
-	}
+// poolOverflow interns fresh constants until the 65535-entry pool limit
+// is hit, which the pool reports by panicking.
+func poolOverflow() rewrite.Filter {
+	return rewrite.FilterFunc{FilterName: "violator", Fn: func(cf *classfile.ClassFile, ctx *rewrite.Context) error {
+		for i := int32(0); ; i++ {
+			cf.Pool.AddInteger(i)
+		}
+	}}
 }
 
-// freezeViolator interns a brand-new constant from TransformMethod,
-// which the frozen pool must turn into a per-method error, not a crash
-// or a race.
-type freezeViolator struct{}
-
-func (freezeViolator) Name() string { return "violator" }
-func (f freezeViolator) Transform(cf *classfile.ClassFile, ctx *rewrite.Context) error {
-	return rewrite.ApplyMethodFilter(f, cf, ctx)
-}
-func (freezeViolator) Prepare(cf *classfile.ClassFile, ctx *rewrite.Context) error { return nil }
-func (freezeViolator) TransformMethod(cf *classfile.ClassFile, m *classfile.Member, ctx *rewrite.Context) error {
-	cf.Pool.AddUtf8("fresh-" + cf.MemberName(m))
-	return nil
-}
-
+// TestFrozenPoolViolationBecomesError: a filter that breaks the constant
+// pool's contract must fail its own class with an error, not crash the
+// process. The pool is no longer frozen during a run (nothing runs
+// concurrently with a filter); the violation that remains is growing it
+// past 65535 entries, which panics inside the pool.
 func TestFrozenPoolViolationBecomesError(t *testing.T) {
 	data := manyMethodClass(t, 16)
-	p := rewrite.NewPipeline(freezeViolator{})
-	p.SetWorkers(4)
+	p := rewrite.NewPipeline(poolOverflow())
 	_, err := p.Process(data, rewrite.NewContext())
 	if err == nil {
-		t.Fatal("frozen-pool mutation did not fail the pipeline")
+		t.Fatal("constant pool overflow did not fail the pipeline")
 	}
-	if !strings.Contains(err.Error(), "frozen") {
-		t.Fatalf("error does not mention the freeze contract: %v", err)
+	for _, want := range []string{"filter violator on demo/Many:", "panic", "constant pool overflow"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
-	// Deterministic first-in-method-order error attribution.
-	if !strings.Contains(err.Error(), "method m000") {
-		t.Fatalf("error not attributed to the first method: %v", err)
+	// The class is still served by a pipeline without the violator.
+	if _, err := fullPipeline().Process(data, rewrite.NewContext()); err != nil {
+		t.Fatalf("pipeline after recovered overflow: %v", err)
 	}
 }
 
-// failAt fails on specific method names to exercise deterministic error
-// selection under concurrency.
-type failAt struct{ bad map[string]bool }
-
-func (failAt) Name() string { return "failat" }
-func (f failAt) Transform(cf *classfile.ClassFile, ctx *rewrite.Context) error {
-	return rewrite.ApplyMethodFilter(f, cf, ctx)
-}
-func (failAt) Prepare(cf *classfile.ClassFile, ctx *rewrite.Context) error { return nil }
-func (f failAt) TransformMethod(cf *classfile.ClassFile, m *classfile.Member, ctx *rewrite.Context) error {
-	if f.bad[cf.MemberName(m)] {
-		return fmt.Errorf("refused %s", cf.MemberName(m))
-	}
-	return nil
+// failAt walks methods in class order and refuses the first one named
+// in bad.
+func failAt(bad map[string]bool) rewrite.Filter {
+	return rewrite.FilterFunc{FilterName: "failat", Fn: func(cf *classfile.ClassFile, ctx *rewrite.Context) error {
+		for _, m := range cf.Methods {
+			if name := cf.MemberName(m); bad[name] {
+				return fmt.Errorf("refused %s", name)
+			}
+		}
+		return nil
+	}}
 }
 
+// TestParallelErrorDeterministic: when several requests for the same
+// class fail at once through one shared pipeline, each gets the same
+// error — the first failing filter, on the lowest-index failing method —
+// and a later filter never runs.
 func TestParallelErrorDeterministic(t *testing.T) {
 	data := manyMethodClass(t, 64)
-	f := failAt{bad: map[string]bool{"m007": true, "m055": true}}
-	for _, workers := range []int{1, 2, 8} {
-		p := rewrite.NewPipeline(f)
-		p.SetWorkers(workers)
-		_, err := p.Process(data, rewrite.NewContext())
-		if err == nil {
-			t.Fatalf("workers=%d: expected error", workers)
+	var mu sync.Mutex
+	ranAfter := 0
+	p := rewrite.NewPipeline(
+		failAt(map[string]bool{"m007": true, "m055": true}),
+		rewrite.FilterFunc{FilterName: "after", Fn: func(*classfile.ClassFile, *rewrite.Context) error {
+			mu.Lock()
+			ranAfter++
+			mu.Unlock()
+			return nil
+		}},
+	)
+	for _, goroutines := range []int{1, 2, 8} {
+		errs := make([]error, goroutines)
+		concurrently(goroutines, func(i int) {
+			_, errs[i] = p.Process(data, rewrite.NewContext())
+		})
+		for i, err := range errs {
+			if err == nil {
+				t.Fatalf("goroutines=%d run %d: expected error", goroutines, i)
+			}
+			if !strings.Contains(err.Error(), "filter failat on demo/Many: refused m007") {
+				t.Fatalf("goroutines=%d run %d: got %v, want the lowest-index failure m007", goroutines, i, err)
+			}
 		}
-		if !strings.Contains(err.Error(), "refused m007") {
-			t.Fatalf("workers=%d: got %v, want the lowest-index failure m007", workers, err)
-		}
+	}
+	if ranAfter != 0 {
+		t.Fatalf("filter after the failing one ran %d times", ranAfter)
 	}
 }

@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -22,9 +21,9 @@ type Context struct {
 	ClientArch string
 	// Notes lets filters publish results to later filters and to the
 	// proxy (e.g. the verifier's check census, the optimizer's split map).
-	// Filters must go through SetNote/Note/AddIntNote rather than the map
-	// so publication is safe from concurrent TransformMethod calls;
-	// reading the map directly is fine once the pipeline has returned.
+	// Filters go through SetNote/Note/AddIntNote, which take the context
+	// lock, so a caller may read notes while a run is in flight; reading
+	// the map directly is fine once the pipeline has returned.
 	Notes map[string]any
 	// FilterTimings records wall-clock time spent per filter. Like Notes,
 	// it is written under the context lock and safe to read directly
@@ -36,8 +35,7 @@ type Context struct {
 	Trace *telemetry.Trace
 	Node  string
 
-	mu      sync.Mutex
-	workers int // effective worker count for the current run (>= 1)
+	mu sync.Mutex
 }
 
 // NewContext returns an empty context.
@@ -64,8 +62,8 @@ func (c *Context) Note(key string) (any, bool) {
 }
 
 // AddIntNote adds delta to an integer note, creating it at delta if
-// absent. Concurrent per-method filter workers use this to accumulate
-// counters (audit sites, checks inserted) without racing.
+// absent. Filters use it to accumulate counters (audit sites, checks
+// inserted) across methods and classes.
 func (c *Context) AddIntNote(key string, delta int) {
 	c.mu.Lock()
 	if prev, ok := c.Notes[key].(int); ok {
@@ -74,19 +72,6 @@ func (c *Context) AddIntNote(key string, delta int) {
 		c.Notes[key] = delta
 	}
 	c.mu.Unlock()
-}
-
-// Workers reports the worker count in effect for the current pipeline
-// run (always >= 1). Filters that manage their own internal parallelism
-// (the verifier) use it so one flag governs the whole pipeline.
-func (c *Context) Workers() int {
-	c.mu.Lock()
-	w := c.workers
-	c.mu.Unlock()
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 func (c *Context) addTiming(name string, d time.Duration) {
@@ -105,14 +90,13 @@ type Filter interface {
 	Transform(cf *classfile.ClassFile, ctx *Context) error
 }
 
-// MethodFilter is an optional extension for filters whose rewriting is
-// independent per method. The pipeline runs Prepare sequentially, then
-// fans TransformMethod out over the worker pool — so Prepare must intern
-// every constant-pool entry the method transformations will need (the
-// pool is frozen during the fan-out and panics on mutation), and
-// TransformMethod must touch only its own method plus ctx via the
-// locked note accessors. Output is deterministic by construction: each
-// method's transformation depends only on the plan built in Prepare.
+// MethodFilter was the per-method split of a Filter (Prepare once, then
+// TransformMethod per method on a worker pool).
+//
+// Deprecated: the pipeline runs every filter as one sequential Transform
+// call and never calls Prepare or TransformMethod. The declaration stays
+// only because the e2ebench module's filter wrappers still name it; it
+// goes with them.
 type MethodFilter interface {
 	Filter
 	Prepare(cf *classfile.ClassFile, ctx *Context) error
@@ -138,7 +122,6 @@ func (f FilterFunc) Transform(cf *classfile.ClassFile, ctx *Context) error {
 // paper's single-parse proxy structure.
 type Pipeline struct {
 	filters []Filter
-	workers int // 0 = GOMAXPROCS
 }
 
 // NewPipeline builds a pipeline from filters in application order.
@@ -151,19 +134,6 @@ func (p *Pipeline) Append(f Filter) { p.filters = append(p.filters, f) }
 
 // Filters returns the filter list in application order.
 func (p *Pipeline) Filters() []Filter { return p.filters }
-
-// SetWorkers bounds the per-method fan-out (MethodFilter stages and the
-// verifier's phase 2/3). n <= 0 restores the default of GOMAXPROCS;
-// n == 1 runs strictly sequentially. Any value yields identical bytes.
-func (p *Pipeline) SetWorkers(n int) { p.workers = n }
-
-// Workers reports the effective worker count the pipeline will use.
-func (p *Pipeline) Workers() int {
-	if p.workers > 0 {
-		return p.workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // Process runs the pipeline over one serialized class.
 func (p *Pipeline) Process(data []byte, ctx *Context) ([]byte, error) {
@@ -188,20 +158,14 @@ func (p *Pipeline) Process(data []byte, ctx *Context) ([]byte, error) {
 	return out, nil
 }
 
-// ProcessClass runs the filters over an already-parsed class.
+// ProcessClass runs the filters over an already-parsed class, in order,
+// each as one Transform call. Output is byte-deterministic by
+// construction: nothing runs concurrently with a filter.
 func (p *Pipeline) ProcessClass(cf *classfile.ClassFile, ctx *Context) error {
-	ctx.mu.Lock()
-	ctx.workers = p.Workers()
-	ctx.mu.Unlock()
 	for _, f := range p.filters {
 		span := ctx.Trace.StartSpan(ctx.Node, "filter."+f.Name())
 		start := telemetry.StartTimer()
-		var err error
-		if mf, ok := f.(MethodFilter); ok {
-			err = p.runMethodFilter(cf, mf, ctx)
-		} else {
-			err = f.Transform(cf, ctx)
-		}
+		err := transformSafe(f, cf, ctx)
 		ctx.addTiming(f.Name(), start.Elapsed())
 		span.End()
 		if err != nil {
@@ -211,80 +175,14 @@ func (p *Pipeline) ProcessClass(cf *classfile.ClassFile, ctx *Context) error {
 	return nil
 }
 
-// runMethodFilter executes one MethodFilter stage: sequential Prepare,
-// then TransformMethod over every method on the worker pool. The
-// constant pool is frozen for the duration of the fan-out, so a filter
-// that forgot to intern a constant in Prepare fails loudly (panic
-// recovered into an error) instead of racing. The first error in
-// method-table order wins, independent of scheduling.
-func (p *Pipeline) runMethodFilter(cf *classfile.ClassFile, mf MethodFilter, ctx *Context) error {
-	if err := mf.Prepare(cf, ctx); err != nil {
-		return err
-	}
-	workers := ctx.Workers()
-	if workers > len(cf.Methods) {
-		workers = len(cf.Methods)
-	}
-	if workers <= 1 {
-		for _, m := range cf.Methods {
-			if err := transformMethodSafe(mf, cf, m, ctx); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	cf.Pool.Freeze(true)
-	defer cf.Pool.Freeze(false)
-	errs := make([]error, len(cf.Methods))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = transformMethodSafe(mf, cf, cf.Methods[i], ctx)
-			}
-		}()
-	}
-	for i := range cf.Methods {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// transformMethodSafe converts a panic from a method transformation
-// (e.g. a frozen-pool violation) into an error tagged with the method,
-// so one bad method fails the class rather than the process.
-func transformMethodSafe(mf MethodFilter, cf *classfile.ClassFile, m *classfile.Member, ctx *Context) (err error) {
+// transformSafe converts a panic inside a filter into an error, so one
+// hostile or mis-rewritten class fails its own request rather than the
+// proxy process.
+func transformSafe(f Filter, cf *classfile.ClassFile, ctx *Context) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("method %s: panic: %v", cf.MemberName(m), r)
+			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	return mf.TransformMethod(cf, m, ctx)
-}
-
-// ApplyMethodFilter runs a MethodFilter standalone (Prepare then every
-// method sequentially), for callers outside a Pipeline.
-func ApplyMethodFilter(mf MethodFilter, cf *classfile.ClassFile, ctx *Context) error {
-	if ctx == nil {
-		ctx = NewContext()
-	}
-	if err := mf.Prepare(cf, ctx); err != nil {
-		return err
-	}
-	for _, m := range cf.Methods {
-		if err := mf.TransformMethod(cf, m, ctx); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.Transform(cf, ctx)
 }

@@ -2,6 +2,7 @@ package rewrite_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"dvm/internal/bytecode"
@@ -342,6 +343,46 @@ func TestPipelineFilterErrorPropagates(t *testing.T) {
 	}})
 	if _, err := p.Process(data, nil); err == nil {
 		t.Fatal("filter error swallowed")
+	}
+}
+
+// TestFilterPanicBecomesError pins the pipeline's safety net: a filter
+// that panics (here with a runtime index error, as a mis-rewrite of a
+// hostile class would) fails that class with an error naming the filter
+// and the class, later filters do not run, and the process survives to
+// serve the next class.
+func TestFilterPanicBecomesError(t *testing.T) {
+	b := buildCounterClass(func(m *classgen.MethodBuilder) {
+		m.ILoad(0).IReturn()
+	})
+	data, _ := b.BuildBytes()
+	ranAfter := false
+	p := rewrite.NewPipeline(
+		rewrite.FilterFunc{FilterName: "crash", Fn: func(cf *classfile.ClassFile, ctx *rewrite.Context) error {
+			_ = cf.Methods[len(cf.Methods)+1] // out of range: panics
+			return nil
+		}},
+		rewrite.FilterFunc{FilterName: "after", Fn: func(cf *classfile.ClassFile, ctx *rewrite.Context) error {
+			ranAfter = true
+			return nil
+		}},
+	)
+	_, err := p.Process(data, nil)
+	if err == nil {
+		t.Fatal("panicking filter did not fail the pipeline")
+	}
+	for _, want := range []string{"filter crash on demo/C:", "panic", "index out of range"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if ranAfter {
+		t.Error("filter after the panicking one still ran")
+	}
+	// The process survived: a healthy pipeline still serves the class.
+	ok := rewrite.NewPipeline(rewrite.FilterFunc{FilterName: "noop", Fn: func(*classfile.ClassFile, *rewrite.Context) error { return nil }})
+	if _, err := ok.Process(data, nil); err != nil {
+		t.Fatalf("pipeline after recovered panic: %v", err)
 	}
 }
 

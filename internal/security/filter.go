@@ -1,7 +1,6 @@
 package security
 
 import (
-	"dvm/internal/bytecode"
 	"dvm/internal/classfile"
 	"dvm/internal/rewrite"
 )
@@ -27,39 +26,19 @@ func Filter(policy *Policy) rewrite.Filter {
 	return &enforceFilter{policy: policy}
 }
 
-// enforceFilter implements rewrite.MethodFilter: Prepare scans every
-// method for matching call sites and builds the check snippets (all pool
-// interning, in method-table order so output is deterministic), and the
-// per-method insert+commit work then fans out across the pipeline's
-// worker pool.
 type enforceFilter struct{ policy *Policy }
-
-// checkSite is one planned insertion: the snippet goes before the
-// instruction at pos (pos == -1 means method entry).
-type checkSite struct {
-	pos   int
-	insts []bytecode.Inst
-}
-
-const enforcePlanNote = "security.plan"
 
 func (f *enforceFilter) Name() string { return "security" }
 
-// Transform implements rewrite.Filter for standalone use; in a pipeline
-// the MethodFilter path is taken instead.
+// Transform implements rewrite.Filter: one pass over the methods, each
+// decoded once, checked for matching sites, rewritten and committed.
+// Constants are interned only for sites that actually match, so a class
+// with nothing to enforce round-trips byte-identically.
 func (f *enforceFilter) Transform(cf *classfile.ClassFile, ctx *rewrite.Context) error {
-	return rewrite.ApplyMethodFilter(f, cf, ctx)
-}
-
-// Prepare implements rewrite.MethodFilter. Constants are interned only
-// for sites that actually match, so a class with nothing to enforce
-// round-trips byte-identically.
-func (f *enforceFilter) Prepare(cf *classfile.ClassFile, ctx *rewrite.Context) error {
 	if f.policy == nil {
 		return nil // no policy: nothing to enforce
 	}
-	policy := f.policy
-	plans := make(map[*classfile.Member][]checkSite)
+	ctx.AddIntNote(NoteChecksInserted, 0)
 	for _, m := range cf.Methods {
 		ed, err := rewrite.EditMethod(cf, m)
 		if err != nil {
@@ -68,108 +47,88 @@ func (f *enforceFilter) Prepare(cf *classfile.ClassFile, ctx *rewrite.Context) e
 		if ed == nil {
 			continue
 		}
-
-		// Call-site instrumentation: find invocations matching an operation.
-		type site struct {
-			pos int
-			op  Operation
+		n, err := f.instrument(cf, m, ed)
+		if err != nil {
+			return err
 		}
-		var sites []site
-		for i, in := range ed.Insts {
-			if !in.Op.IsInvoke() {
-				continue
-			}
-			ref, err := cf.Pool.Ref(in.Index)
-			if err != nil {
-				continue
-			}
-			for _, op := range policy.Operations {
-				if !matchPattern(op.Class, ref.Class) || op.Method != ref.Name {
-					continue
-				}
-				if op.Desc != "" && op.Desc != ref.Desc {
-					continue
-				}
-				sites = append(sites, site{pos: i, op: op})
-				break
-			}
-		}
-		var plan []checkSite
-		// Snippets are planned back-to-front so that replaying them in
-		// order keeps earlier instruction positions valid.
-		for n := len(sites) - 1; n >= 0; n-- {
-			st := sites[n]
-			sn := rewrite.NewSnippet(cf.Pool)
-			if st.op.TargetArg == "arg" {
-				// Stack: [..., target]; keep it and pass a copy to the check.
-				sn.Dup()
-				sn.LdcString(st.op.Permission)
-				sn.Swap()
-				sn.InvokeStatic("dvm/Enforce", "check", "(Ljava/lang/String;Ljava/lang/String;)V")
-			} else {
-				sn.LdcString(st.op.Permission)
-				sn.LdcString("")
-				sn.InvokeStatic("dvm/Enforce", "check", "(Ljava/lang/String;Ljava/lang/String;)V")
-			}
-			plan = append(plan, checkSite{pos: st.pos, insts: sn.Insts()})
-		}
-
-		// Method-boundary instrumentation: the class itself declares an
-		// operation-mapped method.
-		mname := cf.MemberName(m)
-		for _, op := range policy.Operations {
-			if !matchPattern(op.Class, cf.Name()) || op.Method != mname {
-				continue
-			}
-			if op.Desc != "" && op.Desc != cf.MemberDescriptor(m) {
-				continue
-			}
-			sn := rewrite.NewSnippet(cf.Pool)
-			sn.LdcString(op.Permission)
-			sn.LdcString("")
-			sn.InvokeStatic("dvm/Enforce", "check", "(Ljava/lang/String;Ljava/lang/String;)V")
-			plan = append(plan, checkSite{pos: -1, insts: sn.Insts()})
-			break
-		}
-
-		if len(plan) > 0 {
-			plans[m] = plan
-		}
+		ctx.AddIntNote(NoteChecksInserted, n)
 	}
-	ctx.SetNote(enforcePlanNote, plans)
-	ctx.AddIntNote(NoteChecksInserted, 0)
 	return nil
 }
 
-// TransformMethod implements rewrite.MethodFilter; safe to call
-// concurrently for distinct methods. Call-site checks are inserted with
-// captured branches so no control path can reach the operation unchecked.
-func (f *enforceFilter) TransformMethod(cf *classfile.ClassFile, m *classfile.Member, ctx *rewrite.Context) error {
-	if f.policy == nil {
-		return nil
+// instrument inserts the policy's checks into one decoded method and
+// commits it if any were inserted, returning how many. Call-site checks
+// are inserted with captured branches so no control path can reach the
+// operation unchecked.
+func (f *enforceFilter) instrument(cf *classfile.ClassFile, m *classfile.Member, ed *rewrite.MethodEditor) (int, error) {
+	// Call-site instrumentation: find invocations matching an operation.
+	type site struct {
+		pos int
+		op  Operation
 	}
-	v, _ := ctx.Note(enforcePlanNote)
-	plans, _ := v.(map[*classfile.Member][]checkSite)
-	plan := plans[m]
-	if len(plan) == 0 {
-		return nil
-	}
-	ed, err := rewrite.EditMethod(cf, m)
-	if err != nil || ed == nil {
-		return err
-	}
-	for _, cs := range plan {
-		if cs.pos < 0 {
-			if err := ed.InsertEntry(cs.insts); err != nil {
-				return err
+	var sites []site
+	for i, in := range ed.Insts {
+		if !in.Op.IsInvoke() {
+			continue
+		}
+		ref, err := cf.Pool.Ref(in.Index)
+		if err != nil {
+			continue
+		}
+		for _, op := range f.policy.Operations {
+			if !matchPattern(op.Class, ref.Class) || op.Method != ref.Name {
+				continue
 			}
-		} else if err := ed.InsertAt(cs.pos, cs.insts, true); err != nil {
-			return err
+			if op.Desc != "" && op.Desc != ref.Desc {
+				continue
+			}
+			sites = append(sites, site{pos: i, op: op})
+			break
 		}
 	}
-	if err := ed.Commit(); err != nil {
-		return err
+	n := 0
+	// Back-to-front, so earlier instruction positions stay valid.
+	for k := len(sites) - 1; k >= 0; k-- {
+		st := sites[k]
+		sn := rewrite.NewSnippet(cf.Pool)
+		if st.op.TargetArg == "arg" {
+			// Stack: [..., target]; keep it and pass a copy to the check.
+			sn.Dup()
+			sn.LdcString(st.op.Permission)
+			sn.Swap()
+		} else {
+			sn.LdcString(st.op.Permission)
+			sn.LdcString("")
+		}
+		sn.InvokeStatic("dvm/Enforce", "check", "(Ljava/lang/String;Ljava/lang/String;)V")
+		if err := ed.InsertAt(st.pos, sn.Insts(), true); err != nil {
+			return 0, err
+		}
+		n++
 	}
-	ctx.AddIntNote(NoteChecksInserted, len(plan))
-	return nil
+
+	// Method-boundary instrumentation: the class itself declares an
+	// operation-mapped method.
+	mname := cf.MemberName(m)
+	for _, op := range f.policy.Operations {
+		if !matchPattern(op.Class, cf.Name()) || op.Method != mname {
+			continue
+		}
+		if op.Desc != "" && op.Desc != cf.MemberDescriptor(m) {
+			continue
+		}
+		sn := rewrite.NewSnippet(cf.Pool)
+		sn.LdcString(op.Permission)
+		sn.LdcString("")
+		sn.InvokeStatic("dvm/Enforce", "check", "(Ljava/lang/String;Ljava/lang/String;)V")
+		if err := ed.InsertEntry(sn.Insts()); err != nil {
+			return 0, err
+		}
+		n++
+		break
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	return n, ed.Commit()
 }

@@ -319,12 +319,20 @@ func (rm *RemoteManager) pollLoop() {
 		if err != nil {
 			continue
 		}
-		if out.Version > since && since != 0 {
+		// Compare with the version held now, not with since: a domain
+		// fetch that finished while this poll was in flight records the
+		// version its grants came from, and an update that landed after
+		// it must still invalidate them. Zero means nothing was fetched
+		// yet, so there is nothing to invalidate.
+		rm.mu.Lock()
+		cached := rm.version
+		if out.Version > cached {
+			rm.version = out.Version
+		}
+		rm.mu.Unlock()
+		if out.Version > cached && cached != 0 {
 			rm.Manager.invalidate()
 		}
-		rm.mu.Lock()
-		rm.version = out.Version
-		rm.mu.Unlock()
 	}
 }
 

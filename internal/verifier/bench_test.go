@@ -1,8 +1,7 @@
 package verifier
 
 import (
-	"fmt"
-	"runtime"
+	"sort"
 	"testing"
 
 	"dvm/internal/classfile"
@@ -10,7 +9,8 @@ import (
 )
 
 // benchClass returns a representative generated class for throughput
-// measurement.
+// measurement: the first non-main class by sorted name, so every run
+// measures the same bytes.
 func benchClass(b *testing.B) ([]byte, *classfile.ClassFile) {
 	b.Helper()
 	spec := workload.Benchmarks()[0]
@@ -20,18 +20,22 @@ func benchClass(b *testing.B) ([]byte, *classfile.ClassFile) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for name, data := range app.Classes {
-		if name == spec.MainClass() {
-			continue
+	var names []string
+	for name := range app.Classes {
+		if name != spec.MainClass() {
+			names = append(names, name)
 		}
-		cf, err := classfile.Parse(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return data, cf
 	}
-	b.Fatal("no class")
-	return nil, nil
+	if len(names) == 0 {
+		b.Fatal("no class")
+	}
+	sort.Strings(names)
+	data := app.Classes[names[0]]
+	cf, err := classfile.Parse(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return data, cf
 }
 
 // BenchmarkVerify measures static verification throughput (phases 1-3 +
@@ -45,26 +49,6 @@ func BenchmarkVerify(b *testing.B) {
 		if _, err := Verify(cf); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkVerifyWorkers measures the parallel per-method fan-out at
-// several pool sizes. On a multicore proxy the speedup at workers=N is
-// roughly min(N, methods)×; on a single-core runner the variants should
-// at least not regress.
-func BenchmarkVerifyWorkers(b *testing.B) {
-	data, cf := benchClass(b)
-	counts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	for _, w := range counts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := VerifyWith(cf, Options{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

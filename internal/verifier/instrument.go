@@ -196,9 +196,7 @@ func MakeErrorClass(name, message string) ([]byte, error) {
 // stored under NoteResultPrefix+className.
 func Filter() rewrite.Filter {
 	return rewrite.FilterFunc{FilterName: "verifier", Fn: func(cf *classfile.ClassFile, ctx *rewrite.Context) error {
-		// The per-method phases fan out over the pipeline's worker pool;
-		// instrumentation mutates the pool and stays sequential.
-		res, err := VerifyWith(cf, Options{Workers: ctx.Workers(), Trace: ctx.Trace, Node: ctx.Node})
+		res, err := VerifyWith(cf, Options{Trace: ctx.Trace, Node: ctx.Node})
 		if err != nil {
 			return err
 		}

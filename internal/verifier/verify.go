@@ -1,9 +1,7 @@
 package verifier
 
 import (
-	"runtime"
 	"strings"
-	"sync"
 
 	"dvm/internal/bytecode"
 	"dvm/internal/classfile"
@@ -12,13 +10,6 @@ import (
 
 // Options configures a verification run.
 type Options struct {
-	// Workers bounds the goroutines used for the per-method phases
-	// (2, 3, and assumption collection). 0 means GOMAXPROCS; 1 runs
-	// strictly sequentially. Any value produces identical results: the
-	// phases are independent per method, and the merge step folds
-	// per-method output back together in method-table order.
-	Workers int
-
 	// Trace/Node, when set, receive per-phase spans (verify.phase1,
 	// verify.phase3) on the request's telemetry trace.
 	Trace *telemetry.Trace
@@ -30,27 +21,13 @@ type Options struct {
 // not modify the class; Instrument (or the Filter) performs the
 // rewriting step.
 func Verify(cf *classfile.ClassFile) (*Result, error) {
-	return VerifyWith(cf, Options{Workers: 1})
+	return VerifyWith(cf, Options{})
 }
 
-// methodResult is the output of verifying one method in isolation.
-type methodResult struct {
-	census      Census
-	assumptions []Assumption
-	err         error
-}
-
-// VerifyWith is Verify with explicit worker/telemetry options. Per-method
-// verification is embarrassingly parallel — phases 2 and 3 only read the
-// class — so the method loop fans out over opts.Workers goroutines. The
-// result is deterministic regardless of worker count: census counts are
-// summed and assumptions deduplicated in method-table order, and the
-// reported error is the one from the lowest-indexed failing method.
+// VerifyWith is Verify with telemetry options. Methods are verified in
+// method-table order, so the reported error is the first failing
+// method's, and census counts and assumptions accumulate in that order.
 func VerifyWith(cf *classfile.ClassFile, opts Options) (*Result, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	res := &Result{ClassName: cf.Name()}
 	sp := opts.Trace.StartSpan(opts.Node, "verify.phase1")
 	err := phase1(cf, &res.Census)
@@ -62,45 +39,10 @@ func VerifyWith(cf *classfile.ClassFile, opts Options) (*Result, error) {
 	collectClassAssumptions(cf, set)
 
 	sp = opts.Trace.StartSpan(opts.Node, "verify.phase3")
-	results := make([]methodResult, len(cf.Methods))
-	if workers > len(cf.Methods) {
-		workers = len(cf.Methods)
-	}
-	if workers <= 1 {
-		for i, m := range cf.Methods {
-			verifyMethod(cf, m, &results[i])
-		}
-	} else {
-		// The lazy codec memoizes Utf8 decoding by writing into the pool;
-		// materialize everything before handing it to concurrent readers.
-		cf.Pool.Materialize()
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					verifyMethod(cf, cf.Methods[i], &results[i])
-				}
-			}()
-		}
-		for i := range cf.Methods {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	sp.End()
-
-	// Deterministic merge in method-table order.
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-		res.Census.Add(results[i].census)
-		for _, a := range results[i].assumptions {
-			set.add(a)
+	defer sp.End()
+	for _, m := range cf.Methods {
+		if err := verifyMethod(cf, m, &res.Census, set); err != nil {
+			return nil, err
 		}
 	}
 	res.Assumptions = set.list
@@ -108,29 +50,24 @@ func VerifyWith(cf *classfile.ClassFile, opts Options) (*Result, error) {
 }
 
 // verifyMethod runs phases 2 and 3 plus assumption collection for a
-// single method, writing into out. It only reads cf, which is what makes
-// concurrent calls over distinct methods safe.
-func verifyMethod(cf *classfile.ClassFile, m *classfile.Member, out *methodResult) {
+// single method.
+func verifyMethod(cf *classfile.ClassFile, m *classfile.Member, census *Census, set *assumptionSet) error {
 	code, err := cf.CodeOf(m)
 	if err != nil {
-		out.err = &Error{Phase: 2, Class: cf.Name(), Method: cf.MemberName(m), Msg: err.Error()}
-		return
+		return &Error{Phase: 2, Class: cf.Name(), Method: cf.MemberName(m), Msg: err.Error()}
 	}
 	if code == nil {
-		return
+		return nil
 	}
-	insts, err := phase2(cf, m, code, &out.census)
+	insts, err := phase2(cf, m, code, census)
 	if err != nil {
-		out.err = err
-		return
+		return err
 	}
-	if err := phase3(cf, m, code, insts, &out.census); err != nil {
-		out.err = err
-		return
+	if err := phase3(cf, m, code, insts, census); err != nil {
+		return err
 	}
-	local := newAssumptionSet()
-	collectMethodAssumptions(cf, m, insts, local)
-	out.assumptions = local.list
+	collectMethodAssumptions(cf, m, insts, set)
+	return nil
 }
 
 // collectClassAssumptions records the class-scoped environmental facts:
